@@ -19,7 +19,7 @@ except ImportError:
 import numpy as np
 
 from depthscale.metrics import evaluate
-from depthscale.pipeline import PipelineConfig, rescale, rescale_global
+from depthscale.pipeline import PipelineConfig, rescale
 from depthscale.synth import generate_scene, random_scene, sample_uniform
 
 
@@ -50,17 +50,11 @@ def main() -> int:
     )
 
     print(f"\n{'method':<16}{'abs_rel':>10}{'rmse':>9}{'d1':>8}{'max_err_m':>12}")
-    for name in ("slf", "ssf", "median"):
+    for name in ("slf", "ssf", "median", "global-linear", "global-median"):
         out, _ = rescale(rel, mask, samples, PipelineConfig(method=name))
         rep = evaluate(out, gt)
         max_err = float(np.abs(out.values - gt.values).max())
         print(f"{name:<16}{rep.abs_rel:>10.5f}{rep.rmse:>9.4f}{rep.delta1:>8.3f}{max_err:>12.2e}")
-    for name in ("linear", "median"):
-        out = rescale_global(rel, samples, name)
-        rep = evaluate(out, gt)
-        max_err = float(np.abs(out.values - gt.values).max())
-        label = f"global-{name}"
-        print(f"{label:<16}{rep.abs_rel:>10.5f}{rep.rmse:>9.4f}{rep.delta1:>8.3f}{max_err:>12.2e}")
     return 0
 
 

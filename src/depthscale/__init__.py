@@ -29,7 +29,7 @@ from .grids import (
 )
 from .metrics import MetricReport, evaluate
 from .normalize import NormalizationStats, affine_invariant_normalize, invert_depth, lower_median
-from .pipeline import NYU_CLAMP, VOID_CLAMP, PipelineConfig, RegionReport, rescale, rescale_global
+from .pipeline import NYU_CLAMP, VOID_CLAMP, PipelineConfig, RegionReport, rescale
 from .regions import (
     Expansion,
     Region,
@@ -88,7 +88,6 @@ __all__ = [
     "pair_observations",
     "random_scene",
     "rescale",
-    "rescale_global",
     "sample_beams",
     "sample_uniform",
     "samples_to_grid",

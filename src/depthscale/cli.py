@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import DegeneracyError, InputError
 from .grids import SparseSamples
 from .metrics import evaluate
-from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, invert_depth
-from .pipeline import METHODS, PipelineConfig, rescale, rescale_global
+from .normalize import NORMALIZATION_MODES, invert_depth
+from .pipeline import METHODS, NYU_CLAMP, PipelineConfig, rescale
 from . import io
 from . import synth
 
@@ -52,23 +51,25 @@ def _parse_str_list(text: str) -> list[str]:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-samples-linear", type=int, default=2,
+    default = PipelineConfig()
+    parser.add_argument("--min-samples-linear", type=int, default=default.min_samples_linear,
                         help="own-region sample floor for scale+shift fits")
-    parser.add_argument("--min-samples-planar", type=int, default=4,
+    parser.add_argument("--min-samples-planar", type=int, default=default.min_samples_planar,
                         help="own-region sample floor for surface fits")
-    parser.add_argument("--connectivity", type=int, choices=(4, 8), default=4,
+    parser.add_argument("--connectivity", type=int, choices=(4, 8), default=default.connectivity,
                         help="pixel adjacency for regions and their graph")
-    parser.add_argument("--clamp", type=_parse_clamp, default=(0.001, 10.0),
+    parser.add_argument("--clamp", type=_parse_clamp, default=default.clamp,
                         help="output depth range 'min,max' in meters (default NYU 0.001,10; VOID uses 0.2,5)")
-    parser.add_argument("--normalization", choices=NORMALIZATION_MODES, default=MEDIAN_MAD,
+    parser.add_argument("--normalization", choices=NORMALIZATION_MODES, default=default.normalization,
                         help="pre-fit normalization of the relative map")
     parser.add_argument("--merge-same-label", action="store_true",
                         help="keep same-label pixels in one region even when disconnected")
-    parser.add_argument("--max-hops", type=int, default=None,
+    parser.add_argument("--max-hops", type=int, default=default.max_hops,
                         help="cap on neighbor-expansion rings (default: unlimited)")
 
 
 def _config_from_args(args, method: str) -> PipelineConfig:
+    """The one place a PipelineConfig is built from command-line flags."""
     return PipelineConfig(
         method=method,
         min_samples_linear=args.min_samples_linear,
@@ -105,7 +106,7 @@ def cmd_rescale(args) -> int:
             mask_path=args.mask,
             out_depth=args.out,
             out_report=args.report or args.out + ".regions.json",
-            method=args.method,
+            config=_config_from_args(args, args.method),
             samples_path=args.samples,
             gt_path=args.gt,
             n_samples=args.n_samples,
@@ -113,19 +114,14 @@ def cmd_rescale(args) -> int:
             noise_sigma=args.noise_sigma,
             seed=args.seed,
             already_depth=args.already_depth,
-            clamp=args.clamp,
-            connectivity=args.connectivity,
-            normalization=args.normalization,
-            min_samples_linear=args.min_samples_linear,
-            min_samples_planar=args.min_samples_planar,
-            merge_same_label=args.merge_same_label,
+            pgm_scale=args.pgm_scale,
         )
         base = Path(".")
 
     def resolve(p):
         return p if p is None else str((base / p))
 
-    depth = io.load_depth(resolve(man.depth_path), pgm_scale=args.pgm_scale)
+    depth = io.load_depth(resolve(man.depth_path), pgm_scale=man.pgm_scale)
     mask = io.load_mask(resolve(man.mask_path))
     if man.samples_path is not None:
         samples = io.load_samples(resolve(man.samples_path))
@@ -134,21 +130,7 @@ def cmd_rescale(args) -> int:
             resolve(man.gt_path), man.n_samples, man.beams, man.seed, man.noise_sigma
         )
     relative = depth if man.already_depth else invert_depth(depth)
-    cfg = PipelineConfig(
-        method=man.method,
-        min_samples_linear=man.min_samples_linear,
-        min_samples_planar=man.min_samples_planar,
-        clamp=man.clamp,
-        connectivity=man.connectivity,
-        normalization=man.normalization,
-        merge_same_label=man.merge_same_label,
-    )
-    if man.method in ("global-linear", "global-median"):
-        kind = "linear" if man.method == "global-linear" else "median"
-        metric = rescale_global(relative, samples, kind, replace(cfg, method="slf"))
-        reports = []
-    else:
-        metric, reports = rescale(relative, mask, samples, cfg)
+    metric, reports = rescale(relative, mask, samples, man.config)
     io.save_depth(metric, resolve(man.out_depth))
     io.save_region_reports(reports, resolve(man.out_report))
     if args.write_manifest:
@@ -230,12 +212,12 @@ def cmd_bench(args) -> int:
                         report.row(image_id, method, region_aware[method], budget, seed)
                     )
         for beams in args.beams:
-            cfg = _config_from_args(args, "slf")
+            cfg = _config_from_args(args, "global-linear")
             for seed in args.seeds:
                 samples = synth.sample_beams(
                     gt, beams, seed=[seed, scene_index], noise_sigma=args.noise_sigma
                 )
-                metric = rescale_global(rel, samples, "linear", cfg)
+                metric, _ = rescale(rel, mask, samples, cfg)
                 report = evaluate(metric, gt, args.clamp)
                 rows.append(
                     report.row(image_id, f"lf-lidar-{beams}beam", False, len(samples), seed)
@@ -277,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compare a metric prediction against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--clamp", type=_parse_clamp, default=(0.001, 10.0),
+    p.add_argument("--clamp", type=_parse_clamp, default=NYU_CLAMP,
                    help="ground-truth evaluation range 'min,max' in meters")
     p.add_argument("--out", help="append the result as a CSV report row")
     p.add_argument("--pgm-scale", type=float, default=None,

@@ -127,23 +127,16 @@ def normalized_coords(
     return x, y
 
 
-def pair_observations(
-    d_rel: DepthGrid, samples: SparseSamples, pixel_subset: np.ndarray | None = None
-) -> PairedObservations:
+def pair_observations(d_rel: DepthGrid, samples: SparseSamples) -> PairedObservations:
     """Pair each sample with the relative depth at its pixel.
 
-    Samples outside `pixel_subset` (a boolean H x W mask, when given)
-    or landing on invalid relative-depth pixels are dropped. Order of
-    the surviving samples is preserved.
+    Samples landing on invalid relative-depth pixels are dropped. Order
+    of the surviving samples is preserved.
     """
     height, width = d_rel.shape
     if len(samples) and (samples.rows.max() >= height or samples.cols.max() >= width):
         raise OutOfBounds(f"sample coordinates exceed grid shape ({height}, {width})")
     keep = d_rel.valid[samples.rows, samples.cols]
-    if pixel_subset is not None:
-        if pixel_subset.shape != d_rel.shape:
-            raise InputError("pixel subset shape must match the grid")
-        keep = keep & pixel_subset[samples.rows, samples.cols]
     rows = samples.rows[keep]
     cols = samples.cols[keep]
     x, y = normalized_coords(rows, cols, height, width)
@@ -164,12 +157,17 @@ def _condition(design: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _affine_solution(z2: np.ndarray, z1: np.ndarray) -> tuple[float, float, float]:
-    """Closed-form 2x2 normal equations in centered form.
+def fit_affine(obs: PairedObservations) -> FitParams:
+    """Least-squares scale and shift: minimize sum (alpha*z2 + beta - z1)^2.
 
-    Returns (alpha, shift, condition). Raises DegenerateDesign when the
-    z2 values are constant to within a 1e-12 relative spread.
+    Solved by the closed-form 2x2 normal equations in centered form.
+    Raises DegenerateDesign when the z2 values are constant to within a
+    1e-12 relative spread.
     """
+    n = len(obs)
+    if n < MIN_SUPPORT[KIND_AFFINE]:
+        raise InsufficientSamples(f"affine fit needs >= 2 observations, got {n}")
+    z1, z2 = obs.z1, obs.z2
     scale = float(np.max(np.abs(z2)))
     if float(np.ptp(z2)) <= _RELATIVE_SPREAD_TOL * scale:
         raise DegenerateDesign("relative depths are constant; scale and shift are not identifiable")
@@ -177,33 +175,18 @@ def _affine_solution(z2: np.ndarray, z1: np.ndarray) -> tuple[float, float, floa
     z1_bar = float(np.mean(z1))
     dz = z2 - z2_bar
     alpha = float(dz @ (z1 - z1_bar)) / float(dz @ dz)
-    shift = z1_bar - alpha * z2_bar
-    cond = _condition(np.column_stack([z2, np.ones_like(z2)]))
-    return alpha, shift, cond
-
-
-def fit_affine(obs: PairedObservations) -> FitParams:
-    """Least-squares scale and shift: minimize sum (alpha*z2 + beta - z1)^2."""
-    n = len(obs)
-    if n < MIN_SUPPORT[KIND_AFFINE]:
-        raise InsufficientSamples(f"affine fit needs >= 2 observations, got {n}")
-    alpha, beta, cond = _affine_solution(obs.z2, obs.z1)
     return FitParams(
         kind=KIND_AFFINE,
         alpha=alpha,
-        beta=beta,
+        beta=z1_bar - alpha * z2_bar,
         gamma=0.0,
         delta=0.0,
         support=n,
-        condition=cond,
+        condition=_condition(np.column_stack([z2, np.ones_like(z2)])),
     )
 
 
-def fit_planar(
-    obs: PairedObservations,
-    cond_max: float = DEFAULT_COND_MAX,
-    constrain_slopes: bool = False,
-) -> FitParams:
+def fit_planar(obs: PairedObservations, cond_max: float = DEFAULT_COND_MAX) -> FitParams:
     """Least-squares surface fit z1 = alpha*z2 + beta*x + gamma*y + delta.
 
     Solved through the SVD of the design matrix [z2, x, y, 1], which
@@ -211,24 +194,10 @@ def fit_planar(
     exceeds `cond_max` (including exact rank deficiency, e.g. z2 lying
     in the span of x and y) raises DegenerateDesign, since beyond that
     the parameters are numerically meaningless in 64-bit arithmetic.
-
-    With `constrain_slopes` the x and y slopes are pinned to zero and
-    the fit reduces to the affine solve on the same observations.
     """
     n = len(obs)
     if n < MIN_SUPPORT[KIND_PLANAR]:
         raise InsufficientSamples(f"planar fit needs >= 4 observations, got {n}")
-    if constrain_slopes:
-        alpha, shift, cond = _affine_solution(obs.z2, obs.z1)
-        return FitParams(
-            kind=KIND_PLANAR,
-            alpha=alpha,
-            beta=0.0,
-            gamma=0.0,
-            delta=shift,
-            support=n,
-            condition=cond,
-        )
     design = np.column_stack([obs.z2, obs.x, obs.y, np.ones(n)])
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
@@ -271,21 +240,21 @@ def fit_median_ratio(obs: PairedObservations) -> FitParams:
 def apply_fit(
     d_rel: DepthGrid,
     params: FitParams,
-    pixel_subset: np.ndarray,
+    subset: np.ndarray,
     clamp: tuple[float, float],
 ) -> DepthGrid:
     """Apply accepted fit parameters over a pixel subset.
 
-    Returns a partial grid, valid exactly on `pixel_subset` intersected
+    Returns a partial grid, valid exactly on `subset` intersected
     with the input's valid mask, with outputs clamped into the
     [min_depth, max_depth] range.
     """
     lo, hi = float(clamp[0]), float(clamp[1])
     if not (0.0 < lo <= hi):
         raise InputError(f"clamp range must satisfy 0 < min <= max, got ({lo}, {hi})")
-    if pixel_subset.shape != d_rel.shape:
+    if subset.shape != d_rel.shape:
         raise InputError("pixel subset shape must match the grid")
-    sel = pixel_subset & d_rel.valid
+    sel = subset & d_rel.valid
     z2 = d_rel.values[sel]
     if params.kind == KIND_AFFINE:
         out = params.alpha * z2 + params.beta

@@ -12,9 +12,9 @@ Depth grids travel as:
   little-endian float64. Lossless for 64-bit grids; used in tests and
   for bit-exact manifest replay.
 
-Stored zeros mean "no valid depth" in every format. Masks are 16-bit
-PGM with the label as the pixel value; samples are CSV with the header
-``row,col,depth_m``.
+Stored zeros and non-finite values mean "no valid depth" in every
+format. Masks are 16-bit PGM with the label as the pixel value; samples
+are CSV with the header ``row,col,depth_m``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import json
 import struct
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples
 from .metrics import CSV_COLUMNS
+from .pipeline import PipelineConfig
 
 DPG_MAGIC = b"DPG1"
 DEFAULT_PGM_SCALE = 1000.0  # stored integers are millimeters
@@ -67,11 +68,18 @@ def _read_token(f) -> bytes:
         token += ch
 
 
-def _grid_from_values(values: np.ndarray) -> DepthGrid:
+def _grid_from_values(values: np.ndarray, path) -> DepthGrid:
+    finite = np.isfinite(values)
+    if not finite.all():
+        print(
+            f"warning: {path}: {int(values.size - finite.sum())} non-finite depths marked invalid",
+            file=sys.stderr,
+        )
+        values = np.where(finite, values, 0.0)
     return DepthGrid(values, values != 0.0)
 
 
-def _load_pfm(f) -> DepthGrid:
+def _load_pfm(f) -> np.ndarray:
     kind = _read_token(f)
     if kind == b"PF":
         raise UnknownFormat("3-channel PFM is not supported; expected grayscale 'Pf'")
@@ -91,7 +99,7 @@ def _load_pfm(f) -> DepthGrid:
     if len(payload) != height * width * 4:
         raise CorruptHeader("truncated PFM payload")
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return _grid_from_values(np.flipud(data).astype(np.float64))
+    return np.flipud(data).astype(np.float64)
 
 
 def _save_pfm(grid: DepthGrid, f) -> None:
@@ -129,7 +137,7 @@ def _load_pgm_raw(f) -> np.ndarray:
     return np.frombuffer(payload, dtype=dtype).reshape(height, width)
 
 
-def _load_dpg(f) -> DepthGrid:
+def _load_dpg(f) -> np.ndarray:
     magic = f.read(4)
     if magic != DPG_MAGIC:
         raise CorruptHeader(f"bad raw-grid magic {magic!r}")
@@ -141,7 +149,7 @@ def _load_dpg(f) -> DepthGrid:
     payload = f.read(height * width * 8)
     if len(payload) != height * width * 8:
         raise CorruptHeader("truncated raw-grid payload")
-    return _grid_from_values(np.frombuffer(payload, dtype="<f8").reshape(height, width).copy())
+    return np.frombuffer(payload, dtype="<f8").reshape(height, width).copy()
 
 
 def _save_dpg(grid: DepthGrid, f) -> None:
@@ -170,26 +178,30 @@ def _sidecar_scale(path) -> float | None:
 def load_depth(path, pgm_scale: float | None = None) -> DepthGrid:
     """Load a depth grid, sniffing PFM / PGM / DPG1 by magic bytes.
 
-    Zeros become invalid pixels. For PGM, depths are stored integers
-    divided by `pgm_scale`; when not given, a ``<path>.scale`` sidecar
-    is consulted, then the default of 1000 (millimeter storage).
+    Zeros and non-finite values (e.g. ``inf`` sky pixels) become invalid
+    pixels; non-finite ones are counted in a warning on stderr. For PGM,
+    depths are stored integers divided by `pgm_scale`; when not given, a
+    ``<path>.scale`` sidecar is consulted, then the default of 1000
+    (millimeter storage).
     """
     with _open(path) as f:
         magic = f.read(4)
         f.seek(0)
         if magic[:2] in (b"Pf", b"PF"):
-            return _load_pfm(f)
-        if magic[:2] == b"P5":
+            values = _load_pfm(f)
+        elif magic[:2] == b"P5":
             raw = _load_pgm_raw(f)
             scale = pgm_scale if pgm_scale is not None else _sidecar_scale(path)
             if scale is None:
                 scale = DEFAULT_PGM_SCALE
             if scale <= 0:
                 raise InputError("PGM depth scale must be positive")
-            return _grid_from_values(raw.astype(np.float64) / scale)
-        if magic == DPG_MAGIC:
-            return _load_dpg(f)
-    raise UnknownFormat(f"unrecognized depth format in {path}")
+            values = raw.astype(np.float64) / scale
+        elif magic == DPG_MAGIC:
+            values = _load_dpg(f)
+        else:
+            raise UnknownFormat(f"unrecognized depth format in {path}")
+    return _grid_from_values(values, path)
 
 
 def save_depth(grid: DepthGrid, path) -> None:
@@ -293,16 +305,18 @@ def save_region_reports(reports, path) -> None:
 class RunManifest:
     """Everything needed to replay one rescaling run bit-exactly.
 
-    Samples come either from `samples_path` or are drawn from `gt_path`
-    with `n_samples` or `beams` under `seed`. Relative paths are
-    resolved against the manifest's own directory.
+    `config` holds every pipeline setting; the JSON form is flat, with
+    the config's fields beside the others. Samples come either from
+    `samples_path` or are drawn from `gt_path` with `n_samples` or
+    `beams` under `seed`. Relative paths are resolved against the
+    manifest's own directory.
     """
 
     depth_path: str
     mask_path: str
     out_depth: str
     out_report: str
-    method: str = "slf"
+    config: PipelineConfig = PipelineConfig()
     samples_path: str | None = None
     gt_path: str | None = None
     n_samples: int | None = None
@@ -310,17 +324,12 @@ class RunManifest:
     noise_sigma: float = 0.0
     seed: int = 0
     already_depth: bool = False
-    clamp: tuple[float, float] = (0.001, 10.0)
-    connectivity: int = 4
-    normalization: str = "median-mad"
-    min_samples_linear: int = 2
-    min_samples_planar: int = 4
-    merge_same_label: bool = False
+    pgm_scale: float | None = None
     format_version: int = MANIFEST_VERSION
 
     def to_json(self) -> str:
         doc = asdict(self)
-        doc["clamp"] = list(self.clamp)
+        doc.update(doc.pop("config"))
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -329,6 +338,7 @@ def save_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
+    """Read a manifest; pipeline keys it lacks take PipelineConfig defaults."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError as err:
@@ -337,8 +347,8 @@ def load_manifest(path) -> RunManifest:
         raise CorruptHeader(f"manifest is not valid JSON: {err}") from err
     if doc.get("format_version") != MANIFEST_VERSION:
         raise CorruptHeader(f"unsupported manifest version {doc.get('format_version')!r}")
-    doc["clamp"] = tuple(doc.get("clamp", (0.001, 10.0)))
+    settings = {f.name: doc.pop(f.name) for f in fields(PipelineConfig) if f.name in doc}
     try:
-        return RunManifest(**doc)
+        return RunManifest(config=PipelineConfig(**settings), **doc)
     except TypeError as err:
         raise CorruptHeader(f"manifest has unknown or missing fields: {err}") from err

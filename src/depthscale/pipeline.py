@@ -86,6 +86,9 @@ class PipelineConfig:
     cond_max: float = DEFAULT_COND_MAX
 
     def __post_init__(self):
+        # JSON hands back lists; keep the config hashable and comparable.
+        object.__setattr__(self, "clamp", tuple(self.clamp))
+        object.__setattr__(self, "fallback_chain", tuple(self.fallback_chain))
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.min_samples_linear < 2:
@@ -279,22 +282,3 @@ def rescale(
         )
 
     return DepthGrid(out_values, working.valid), reports
-
-
-def rescale_global(
-    d_in: DepthGrid,
-    samples: SparseSamples,
-    method: str = "linear",
-    cfg: PipelineConfig = PipelineConfig(),
-) -> DepthGrid:
-    """One fit over all samples, applied to every valid pixel.
-
-    Bit-identical to `rescale` with a single-region mask, which is how
-    it is implemented.
-    """
-    if method not in ("linear", "median"):
-        raise InputError(f"global method must be 'linear' or 'median', got {method!r}")
-    uniform = LabelGrid(np.zeros(d_in.shape, dtype=np.int32))
-    region_method = METHOD_SLF if method == "linear" else METHOD_MEDIAN
-    grid, _ = rescale(d_in, uniform, samples, replace(cfg, method=region_method))
-    return grid

@@ -53,7 +53,6 @@ class RegionGraph:
     """Regions plus a symmetric, irreflexive adjacency over their ids."""
 
     regions: tuple[Region, ...]
-    edges: frozenset
     neighbor_ids: tuple[tuple[int, ...], ...]
 
     @property
@@ -166,7 +165,7 @@ def build_region_graph(
         neighbor_lists[q].append(p)
     neighbor_ids = tuple(tuple(sorted(ns)) for ns in neighbor_lists)
 
-    return RegionGraph(regions=regions, edges=frozenset(edge_set), neighbor_ids=neighbor_ids)
+    return RegionGraph(regions=regions, neighbor_ids=neighbor_ids)
 
 
 def expand_until(

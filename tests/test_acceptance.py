@@ -20,7 +20,7 @@ from depthscale.fitting import fit_affine, fit_planar
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
 from depthscale.normalize import affine_invariant_normalize, lower_median
-from depthscale.pipeline import PipelineConfig, rescale, rescale_global
+from depthscale.pipeline import PipelineConfig, rescale
 from depthscale.regions import build_region_graph, split_into_components
 from depthscale.synth import generate_scene, random_scene, sample_uniform
 from test_fitting import obs_from
@@ -135,9 +135,8 @@ def test_criterion_03_region_aware_dominance():
         )
         gt, rel, mask = generate_scene(spec)
         samples = samples_with_region_floor(gt, mask, 1000, [seed], floor=2)
-        cfg = PipelineConfig(method="slf", clamp=CLAMP)
-        aware, _ = rescale(rel, mask, samples, cfg)
-        blind = rescale_global(rel, samples, "linear", cfg)
+        aware, _ = rescale(rel, mask, samples, PipelineConfig(method="slf", clamp=CLAMP))
+        blind, _ = rescale(rel, mask, samples, PipelineConfig(method="global-linear", clamp=CLAMP))
         a = evaluate(aware, gt, CLAMP).abs_rel
         b = evaluate(blind, gt, CLAMP).abs_rel
         violations += a > b
@@ -421,7 +420,7 @@ def test_criterion_10_manifest_determinism(tmp_path):
         gt_path=str(scene / "gt.dpg"),
         n_samples=300,
         seed=5,
-        method="ssf",
+        config=PipelineConfig(method="ssf"),
         already_depth=True,
         out_depth=str(tmp_path / "out.dpg"),
         out_report=str(tmp_path / "out.regions.json"),

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from depthscale import io
 from depthscale.cli import main
 from depthscale.grids import DepthGrid
-from depthscale.synth import generate_scene, random_scene, save_scene_spec
+from depthscale.pipeline import PipelineConfig, rescale
+from depthscale.synth import generate_scene, random_scene, sample_uniform, save_scene_spec
 
 
 @pytest.fixture
@@ -121,7 +123,7 @@ def test_manifest_replay_byte_identical(tmp_path, scene_dir):
         gt_path=str(scene / "gt.dpg"),
         n_samples=200,
         seed=11,
-        method="ssf",
+        config=PipelineConfig(method="ssf"),
         already_depth=True,
         out_depth=str(tmp_path / "out.dpg"),
         out_report=str(tmp_path / "out.regions.json"),
@@ -206,3 +208,175 @@ def test_global_method_through_cli(tmp_path, scene_dir):
     )
     assert code == 0
     assert io.load_depth(out).n_valid > 0
+    # one report per region, all sharing the single global fit
+    rows = json.loads((tmp_path / "metric.dpg.regions.json").read_text())
+    assert len(rows) == int(io.load_mask(scene / "mask.pgm").labels.max()) + 1
+    assert {r["provenance"] for r in rows} == {"global"}
+    assert len({(r["alpha"], r["beta"]) for r in rows}) == 1
+
+
+def test_global_linear_with_one_sample_is_degenerate(tmp_path, scene_dir, capsys):
+    scene = scene_dir / "scene00"
+    path = tmp_path / "one.csv"
+    path.write_text("row,col,depth_m\n5,5,2.5\n")
+    code = main(
+        [
+            "rescale",
+            "--depth", str(scene / "rel.dpg"),
+            "--mask", str(scene / "mask.pgm"),
+            "--samples", str(path),
+            "--method", "global-linear",
+            "--already-depth",
+            "--out", str(tmp_path / "metric.dpg"),
+        ]
+    )
+    assert code == 3
+    assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.fixture
+def sparse_scene(tmp_path):
+    """12 regions and 6 samples: most regions must borrow from neighbors."""
+    spec = random_scene(
+        5,
+        height=60,
+        width=80,
+        region_range=(12, 12),
+        distortion="affine",
+        shift_range=(-4.0, 4.0),
+        min_region_pixels=30,
+    )
+    gt, rel, mask = generate_scene(spec)
+    samples = sample_uniform(gt, 6, 0)
+    io.save_depth(rel, tmp_path / "rel.dpg")
+    io.save_mask(mask, tmp_path / "mask.pgm")
+    io.save_samples(samples, tmp_path / "samples.csv")
+    return rel, mask, samples
+
+
+def test_max_hops_flag_reaches_pipeline(tmp_path, sparse_scene):
+    rel, mask, samples = sparse_scene
+    out = tmp_path / "metric.dpg"
+    code = main(
+        [
+            "rescale",
+            "--depth", str(tmp_path / "rel.dpg"),
+            "--mask", str(tmp_path / "mask.pgm"),
+            "--samples", str(tmp_path / "samples.csv"),
+            "--already-depth",
+            "--max-hops", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    metric, reports = rescale(rel, mask, samples, PipelineConfig(max_hops=0))
+    io.save_region_reports(reports, tmp_path / "library.json")
+    assert (tmp_path / "metric.dpg.regions.json").read_bytes() == (
+        tmp_path / "library.json"
+    ).read_bytes()
+    assert {r.hop for r in reports} == {0}
+    # without the cap the same scene expands, so the flag is what held it
+    _, unlimited = rescale(rel, mask, samples, PipelineConfig())
+    assert max(r.hop for r in unlimited) > 0
+
+
+def test_write_manifest_replays_pgm_scale_and_max_hops(tmp_path, sparse_scene):
+    rel, _, _ = sparse_scene
+    stored = np.round(rel.values * 1000.0).astype(">u2")
+    (tmp_path / "rel.pgm").write_bytes(b"P5\n80 60\n65535\n" + stored.tobytes())
+    out = tmp_path / "metric.dpg"
+    report = tmp_path / "metric.dpg.regions.json"
+    manifest = tmp_path / "run.json"
+    code = main(
+        [
+            "rescale",
+            "--depth", str(tmp_path / "rel.pgm"),
+            "--mask", str(tmp_path / "mask.pgm"),
+            "--samples", str(tmp_path / "samples.csv"),
+            "--method", "ssf",
+            "--already-depth",
+            "--pgm-scale", "7",
+            "--max-hops", "1",
+            "--out", str(out),
+            "--write-manifest", str(manifest),
+        ]
+    )
+    assert code == 0
+    recorded = io.load_manifest(manifest)
+    assert recorded.pgm_scale == 7.0
+    assert recorded.config.max_hops == 1
+    first_depth, first_report = out.read_bytes(), report.read_bytes()
+    out.unlink()
+    report.unlink()
+    assert main(["rescale", "--manifest", str(manifest)]) == 0
+    assert out.read_bytes() == first_depth
+    assert report.read_bytes() == first_report
+
+
+def test_seed_era_manifest_replays(tmp_path, sparse_scene):
+    # the key set manifests had before max_hops, pgm_scale, cond_max
+    # and fallback_chain were recorded
+    doc = {
+        "already_depth": True,
+        "beams": None,
+        "clamp": [0.2, 5.0],
+        "connectivity": 8,
+        "depth_path": "rel.dpg",
+        "format_version": 1,
+        "gt_path": None,
+        "mask_path": "mask.pgm",
+        "merge_same_label": False,
+        "method": "ssf",
+        "min_samples_linear": 2,
+        "min_samples_planar": 4,
+        "n_samples": None,
+        "noise_sigma": 0.0,
+        "normalization": "median-mad",
+        "out_depth": "replay.dpg",
+        "out_report": "replay.json",
+        "samples_path": "samples.csv",
+        "seed": 0,
+    }
+    (tmp_path / "seed.json").write_text(json.dumps(doc))
+    assert main(["rescale", "--manifest", str(tmp_path / "seed.json")]) == 0
+    code = main(
+        [
+            "rescale",
+            "--depth", str(tmp_path / "rel.dpg"),
+            "--mask", str(tmp_path / "mask.pgm"),
+            "--samples", str(tmp_path / "samples.csv"),
+            "--method", "ssf",
+            "--already-depth",
+            "--clamp", "0.2,5",
+            "--connectivity", "8",
+            "--out", str(tmp_path / "flags.dpg"),
+            "--report", str(tmp_path / "flags.json"),
+        ]
+    )
+    assert code == 0
+    assert (tmp_path / "replay.dpg").read_bytes() == (tmp_path / "flags.dpg").read_bytes()
+    assert (tmp_path / "replay.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+
+
+def test_rescale_tolerates_non_finite_pfm_pixels(tmp_path, sparse_scene, capsys):
+    rel, _, _ = sparse_scene
+    values = rel.values.copy()
+    values[0, :3] = np.inf
+    values[1, 0] = np.nan
+    payload = np.flipud(values).astype("<f4").tobytes()
+    (tmp_path / "rel.pfm").write_bytes(b"Pf\n80 60\n-1.0\n" + payload)
+    out = tmp_path / "metric.dpg"
+    code = main(
+        [
+            "rescale",
+            "--depth", str(tmp_path / "rel.pfm"),
+            "--mask", str(tmp_path / "mask.pgm"),
+            "--samples", str(tmp_path / "samples.csv"),
+            "--already-depth",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert "4 non-finite" in capsys.readouterr().err
+    valid = io.load_depth(out).valid
+    assert not valid[0, :3].any() and not valid[1, 0]

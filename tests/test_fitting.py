@@ -58,17 +58,6 @@ def test_pair_coordinate_normalization_endpoints():
     assert np.array_equal(obs.y, [0.0, 0.0, 0.0])  # single row maps to center
 
 
-def test_pair_respects_subset():
-    grid = DepthGrid(np.ones((2, 2)))
-    subset = np.array([[True, False], [False, False]])
-    samples = SparseSamples.from_points([(0, 0, 1.0), (1, 1, 2.0)])
-    obs = pair_observations(grid, samples, subset)
-    assert len(obs) == 1
-
-
-# ----------------------------------------------------------------- affine
-
-
 def test_affine_exact_line():
     p = fit_affine(obs_from([1.0, 2.0, 3.0], [3.0, 5.0, 7.0]))
     assert p.alpha == 2.0
@@ -132,22 +121,6 @@ def test_planar_degenerate_when_z2_in_span_of_xy():
 def test_planar_insufficient():
     with pytest.raises(InsufficientSamples):
         fit_planar(obs_from([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
-
-
-def test_planar_constrained_reproduces_affine():
-    rng = np.random.default_rng(2)
-    z2 = rng.uniform(0.1, 4.0, 12)
-    z1 = 2.5 * z2 + 0.7 + rng.normal(0, 0.05, 12)
-    x = rng.uniform(-1, 1, 12)
-    y = rng.uniform(-1, 1, 12)
-    constrained = fit_planar(obs_from(z2, z1, x, y), constrain_slopes=True)
-    affine = fit_affine(obs_from(z2, z1, x, y))
-    assert constrained.alpha == affine.alpha
-    assert constrained.delta == affine.beta
-    assert constrained.beta == 0.0 and constrained.gamma == 0.0
-
-
-# ----------------------------------------------------------------- median
 
 
 def test_median_ratio():

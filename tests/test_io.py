@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from depthscale.errors import (
     UnknownFormat,
 )
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
+from depthscale.pipeline import PipelineConfig
 from depthscale import io
 
 
@@ -33,6 +35,16 @@ def test_pfm_zeros_become_invalid(tmp_path):
     io.save_depth(grid, path)
     back = io.load_depth(path)
     assert back.valid.tolist() == [[True, False]]
+
+
+def test_pfm_non_finite_become_invalid(tmp_path, capsys):
+    values = np.array([[1.0, np.inf], [np.nan, 2.0]], dtype="<f4")
+    path = tmp_path / "sky.pfm"
+    path.write_bytes(b"Pf\n2 2\n-1.0\n" + np.flipud(values).tobytes())
+    back = io.load_depth(path)
+    assert back.valid.tolist() == [[True, False], [False, True]]
+    assert back.values.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+    assert "2 non-finite" in capsys.readouterr().err
 
 
 def test_pfm_big_endian_load(tmp_path):
@@ -181,15 +193,68 @@ def test_manifest_round_trip(tmp_path):
         mask_path="mask.pgm",
         out_depth="out.dpg",
         out_report="out.json",
-        method="ssf",
+        config=PipelineConfig(
+            method="ssf",
+            clamp=(0.2, 5.0),
+            max_hops=2,
+            fallback_chain=("ssf", "median"),
+            cond_max=1e6,
+        ),
         gt_path="gt.dpg",
         n_samples=500,
         seed=7,
-        clamp=(0.2, 5.0),
+        pgm_scale=7.0,
     )
     path = tmp_path / "run.json"
     io.save_manifest(manifest, path)
     assert io.load_manifest(path) == manifest
+    # flat JSON: pipeline settings sit beside the run's own fields
+    doc = json.loads(path.read_text())
+    assert "config" not in doc
+    assert doc["method"] == "ssf" and doc["max_hops"] == 2 and doc["pgm_scale"] == 7.0
+
+
+def test_manifest_seed_key_set_takes_defaults(tmp_path):
+    doc = {
+        "already_depth": False,
+        "beams": None,
+        "clamp": [0.2, 5.0],
+        "connectivity": 8,
+        "depth_path": "rel.dpg",
+        "format_version": 1,
+        "gt_path": "gt.dpg",
+        "mask_path": "mask.pgm",
+        "merge_same_label": False,
+        "method": "slf",
+        "min_samples_linear": 3,
+        "min_samples_planar": 4,
+        "n_samples": 100,
+        "noise_sigma": 0.0,
+        "normalization": "median-mad",
+        "out_depth": "out.dpg",
+        "out_report": "out.json",
+        "samples_path": None,
+        "seed": 1,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    manifest = io.load_manifest(path)
+    assert manifest.config == PipelineConfig(
+        method="slf", clamp=(0.2, 5.0), connectivity=8, min_samples_linear=3
+    )
+    assert manifest.pgm_scale is None
+    assert manifest.n_samples == 100 and manifest.seed == 1
+
+
+def test_manifest_rejects_unknown_field(tmp_path):
+    path = tmp_path / "run.json"
+    doc = json.loads(
+        io.RunManifest(depth_path="d", mask_path="m", out_depth="o", out_report="r").to_json()
+    )
+    doc["colour"] = "blue"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptHeader):
+        io.load_manifest(path)
 
 
 def test_manifest_rejects_unknown_version(tmp_path):

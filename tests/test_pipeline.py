@@ -7,7 +7,7 @@ from depthscale.errors import DegeneracyError, DimensionMismatch, NoSamples
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
 from depthscale.normalize import affine_invariant_normalize
-from depthscale.pipeline import PipelineConfig, rescale, rescale_global
+from depthscale.pipeline import PipelineConfig, rescale
 
 WIDE_CLAMP = (0.001, 100.0)
 
@@ -50,7 +50,8 @@ def test_single_region_slf_equals_global_linear():
     samples = sample_at(gt, [(0, 0), (3, 4), (7, 9), (5, 2)])
     cfg = PipelineConfig(method="slf", clamp=WIDE_CLAMP)
     from_rescale, reports = rescale(d_in, uniform_mask(d_in.shape), samples, cfg)
-    from_global = rescale_global(d_in, samples, "linear", cfg)
+    global_cfg = PipelineConfig(method="global-linear", clamp=WIDE_CLAMP)
+    from_global, _ = rescale(d_in, uniform_mask(d_in.shape), samples, global_cfg)
     assert np.array_equal(from_rescale.values, from_global.values)
     assert len(reports) == 1
     assert reports[0].params.provenance == "own"
@@ -90,7 +91,8 @@ def test_global_median_consistency():
     d_in = DepthGrid(np.array([[1.5, 2.0], [2.5, 3.0]]))
     gt = 3.0 * d_in.values
     samples = sample_at(gt, [(0, 0), (0, 1), (1, 0)])
-    out = rescale_global(d_in, samples, "median", PipelineConfig(clamp=WIDE_CLAMP))
+    cfg = PipelineConfig(method="global-median", clamp=WIDE_CLAMP)
+    out, _ = rescale(d_in, uniform_mask(d_in.shape), samples, cfg)
     # median methods fit the raw relative map, so output is exactly 3 * input
     assert np.array_equal(out.values, 3.0 * d_in.values)
 
@@ -100,7 +102,8 @@ def test_global_linear_exact_recovery():
     gt = 1.7 * d_in.values + 0.4
     pixels = [(r, c) for r in range(0, 8, 3) for c in range(0, 10, 4)]
     samples = sample_at(gt, pixels)
-    out = rescale_global(d_in, samples, "linear", PipelineConfig(clamp=WIDE_CLAMP))
+    cfg = PipelineConfig(method="global-linear", clamp=WIDE_CLAMP)
+    out, _ = rescale(d_in, uniform_mask(d_in.shape), samples, cfg)
     assert np.abs(out.values - gt).max() < 1e-9
 
 
@@ -178,7 +181,8 @@ def test_region_aware_dominates_global_on_heterogeneous_scene():
     samples = sample_at(gt_values, pixels)
     cfg = PipelineConfig(method="slf", clamp=WIDE_CLAMP)
     aware, _ = rescale(d_in, LabelGrid(labels), samples, cfg)
-    blind = rescale_global(d_in, samples, "linear", cfg)
+    global_cfg = PipelineConfig(method="global-linear", clamp=WIDE_CLAMP)
+    blind, _ = rescale(d_in, LabelGrid(labels), samples, global_cfg)
     assert evaluate(aware, gt, WIDE_CLAMP).abs_rel <= evaluate(blind, gt, WIDE_CLAMP).abs_rel
 
 
