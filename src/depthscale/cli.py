@@ -15,7 +15,9 @@ exhausted the fallback chain.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import DegeneracyError, InputError
@@ -91,10 +93,19 @@ def _draw_samples(gt_path, n_samples, beams, seed, noise_sigma) -> SparseSamples
     return synth.sample_uniform(gt, n_samples, seed, noise_sigma=noise_sigma)
 
 
+def _rebase_paths(man: io.RunManifest, rebase) -> io.RunManifest:
+    """`man` with each relative path p replaced by `rebase(p)`."""
+    fields = ("depth_path", "mask_path", "samples_path", "gt_path", "out_depth", "out_report")
+    return replace(man, **{
+        f: rebase(p) for f in fields if (p := getattr(man, f)) is not None and not os.path.isabs(p)
+    })
+
+
 def cmd_rescale(args) -> int:
+    # A manifest's relative paths are read against its own directory.
     if args.manifest:
-        man = io.load_manifest(args.manifest)
-        base = Path(args.manifest).parent
+        home = Path(args.manifest).parent
+        man = _rebase_paths(io.load_manifest(args.manifest), lambda p: str(home / p))
     else:
         for flag, value in (("--depth", args.depth), ("--mask", args.mask), ("--out", args.out)):
             if value is None:
@@ -116,25 +127,21 @@ def cmd_rescale(args) -> int:
             already_depth=args.already_depth,
             pgm_scale=args.pgm_scale,
         )
-        base = Path(".")
 
-    def resolve(p):
-        return p if p is None else str((base / p))
-
-    depth = io.load_depth(resolve(man.depth_path), pgm_scale=man.pgm_scale)
-    mask = io.load_mask(resolve(man.mask_path))
+    depth = io.load_depth(man.depth_path, pgm_scale=man.pgm_scale)
+    mask = io.load_mask(man.mask_path)
     if man.samples_path is not None:
-        samples = io.load_samples(resolve(man.samples_path))
+        samples = io.load_samples(man.samples_path)
     else:
-        samples = _draw_samples(
-            resolve(man.gt_path), man.n_samples, man.beams, man.seed, man.noise_sigma
-        )
+        samples = _draw_samples(man.gt_path, man.n_samples, man.beams, man.seed, man.noise_sigma)
     relative = depth if man.already_depth else invert_depth(depth)
     metric, reports = rescale(relative, mask, samples, man.config)
-    io.save_depth(metric, resolve(man.out_depth))
-    io.save_region_reports(reports, resolve(man.out_report))
+    io.save_depth(metric, man.out_depth)
+    io.save_region_reports(reports, man.out_report)
     if args.write_manifest:
-        io.save_manifest(man, args.write_manifest)
+        home = Path(args.write_manifest).parent
+        written = _rebase_paths(man, lambda p: os.path.relpath(p, home))
+        io.save_manifest(written, args.write_manifest)
     print(f"wrote {man.out_depth} ({len(reports)} regions, {len(samples)} samples)")
     return EXIT_OK
 

@@ -15,11 +15,12 @@ here is pure, so independent region fits may run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDesign, InputError, InsufficientSamples, OutOfBounds, ZeroMedian
-from .grids import DepthGrid, SparseSamples
+from .grids import DepthGrid, LabelGrid, SparseSamples
 from .normalize import lower_median
 
 KIND_AFFINE = "affine"
@@ -237,35 +238,48 @@ def fit_median_ratio(obs: PairedObservations) -> FitParams:
     )
 
 
+def _planar_terms(params: FitParams) -> tuple[float, float, float, float]:
+    """A fit as (alpha, x-slope, y-slope, offset) of the planar form."""
+    if params.kind == KIND_PLANAR:
+        return params.alpha, params.beta, params.gamma, params.delta
+    if params.kind == KIND_AFFINE:
+        return params.alpha, 0.0, 0.0, params.beta
+    if params.kind == KIND_MEDIAN:
+        return params.alpha, 0.0, 0.0, 0.0
+    raise InputError(f"unknown fit kind {params.kind!r}")
+
+
 def apply_fit(
     d_rel: DepthGrid,
-    params: FitParams,
-    subset: np.ndarray,
+    mask: LabelGrid,
+    params: Sequence[FitParams],
     clamp: tuple[float, float],
 ) -> DepthGrid:
-    """Apply accepted fit parameters over a pixel subset.
+    """Apply `params[label]` to every pixel in one label-indexed pass.
 
-    Returns a partial grid, valid exactly on `subset` intersected
-    with the input's valid mask, with outputs clamped into the
-    [min_depth, max_depth] range.
+    Each pixel gets ((alpha*z2 + beta*x) + gamma*y) + delta from its
+    label's planar terms, clamped into [min_depth, max_depth]; affine and
+    median fits have zero slopes, which is exact for their own formulas
+    because the clamp floor is positive. Valid where the input is.
     """
     lo, hi = float(clamp[0]), float(clamp[1])
     if not (0.0 < lo <= hi):
         raise InputError(f"clamp range must satisfy 0 < min <= max, got ({lo}, {hi})")
-    if subset.shape != d_rel.shape:
-        raise InputError("pixel subset shape must match the grid")
-    sel = subset & d_rel.valid
-    z2 = d_rel.values[sel]
-    if params.kind == KIND_AFFINE:
-        out = params.alpha * z2 + params.beta
-    elif params.kind == KIND_MEDIAN:
-        out = params.alpha * z2
-    elif params.kind == KIND_PLANAR:
-        rows, cols = np.nonzero(sel)
-        x, y = normalized_coords(rows, cols, d_rel.height, d_rel.width)
-        out = params.alpha * z2 + params.beta * x + params.gamma * y + params.delta
-    else:
-        raise InputError(f"unknown fit kind {params.kind!r}")
-    values = np.zeros(d_rel.shape, dtype=np.float64)
-    values[sel] = np.clip(out, lo, hi)
-    return DepthGrid(values, sel)
+    if mask.shape != d_rel.shape:
+        raise InputError(f"mask shape {mask.shape} != grid shape {d_rel.shape}")
+    if mask.labels.max() >= len(params):
+        raise InputError(f"label {mask.labels.max()} has no fit parameters ({len(params)} given)")
+    alpha, beta, gamma, delta = np.array([_planar_terms(p) for p in params], dtype=np.float64).T
+    x, y = normalized_coords(*np.ogrid[: d_rel.height, : d_rel.width], *d_rel.shape)
+    valid = d_rel.valid
+    # One full-frame term at a time; invalid pixels enter as 0, not inf or nan.
+    out = alpha[mask.labels]
+    out *= np.where(valid, d_rel.values, 0.0)
+    term = np.empty_like(out)
+    for coeff, coord in ((beta, x), (gamma, y), (delta, 1.0)):
+        np.take(coeff, mask.labels, out=term)
+        term *= coord
+        out += term
+    np.clip(out, lo, hi, out=out)
+    out[~valid] = 0.0
+    return DepthGrid(out, valid)

@@ -3,10 +3,11 @@
 `rescale` normalizes the input map, extracts regions from the mask,
 fits each region's transform from the sparse measurements inside it
 (expanding over neighboring regions when a region is too thin, then
-walking a fallback chain of simpler fit kinds), and merges the
-per-region outputs into one metric depth map. Expanded fits are applied
-only to the origin region's own pixels, so absorbed neighbors keep
-their independently fitted parameters.
+walking a fallback chain of simpler fit kinds), and writes the metric
+depth map in one pass that applies each pixel's own region fit, looked
+up by its label. Expanded fits are applied only to the origin region's
+own pixels, so absorbed neighbors keep their independently fitted
+parameters.
 
 Region fits depend only on the immutable graph and sample set, so they
 could run in parallel; execution here is sequential and the output is
@@ -170,8 +171,8 @@ def rescale(
 
     `d_in` must already be relative depth (invert inverse-depth model
     output first). Returns the metric map plus one report per region.
-    Every pixel of the output is written by exactly one region; output
-    validity equals input validity.
+    Every pixel of the output is written by the fit of its own region;
+    output validity equals input validity.
     """
     if mask.shape != d_in.shape:
         raise DimensionMismatch(f"mask shape {mask.shape} != depth shape {d_in.shape}")
@@ -250,24 +251,13 @@ def rescale(
             )
         chosen.append(params)
 
-    out_values = np.zeros(d_in.shape, dtype=np.float64)
-    coverage = np.zeros(d_in.shape, dtype=np.int32)
-    for region, params in zip(graph.regions, chosen):
-        subset = np.zeros(d_in.shape, dtype=bool)
-        subset[region.rows, region.cols] = True
-        partial = apply_fit(working, params, subset, cfg.clamp)
-        out_values[partial.valid] = partial.values[partial.valid]
-        coverage[region.rows, region.cols] += 1
-    if not (coverage == 1).all():
-        raise AssertionError("internal invariant violated: pixels not written exactly once")
+    out = apply_fit(working, region_mask, chosen, cfg.clamp)
 
     reports = []
     for region, params in zip(graph.regions, chosen):
-        pos = position[region.sample_indices]
-        pos = pos[pos >= 0]
-        if pos.size:
-            own = paired.take(pos)
-            predicted = out_values[own.rows, own.cols]
+        own = obs_for(region.sample_indices)
+        if len(own):
+            predicted = out.values[own.rows, own.cols]
             rmse = float(np.sqrt(np.mean((predicted - own.z1) ** 2)))
         else:
             rmse = float("nan")
@@ -281,4 +271,4 @@ def rescale(
             )
         )
 
-    return DepthGrid(out_values, working.valid), reports
+    return out, reports

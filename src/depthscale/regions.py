@@ -36,16 +36,10 @@ def _structure(connectivity: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """One region: its pixels and the indices of samples inside it."""
+    """One region: its label in the grid and the indices of samples inside it."""
 
     id: int
-    rows: np.ndarray
-    cols: np.ndarray
     sample_indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.rows.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,16 +100,8 @@ def build_region_graph(
     labels = mask.labels
     height, width = labels.shape
     n_regions = int(labels.max()) + 1
-    present = np.unique(labels)
-    if present.size != n_regions:
+    if not mask.is_canonical():
         raise InputError("mask is not canonical; run canonicalize_labels or split_into_components")
-
-    # Pixel lists per region via one stable sort of the flat label array.
-    flat = labels.ravel()
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=n_regions)
-    splits = np.cumsum(counts)[:-1]
-    pixel_groups = np.split(order, splits)
 
     # Sample assignment, preserving original sample order inside a region.
     if len(samples):
@@ -129,12 +115,7 @@ def build_region_graph(
         sample_groups = [np.empty(0, dtype=np.int64)] * n_regions
 
     regions = tuple(
-        Region(
-            id=i,
-            rows=pixel_groups[i] // width,
-            cols=pixel_groups[i] % width,
-            sample_indices=np.asarray(sample_groups[i], dtype=np.int64),
-        )
+        Region(id=i, sample_indices=np.asarray(sample_groups[i], dtype=np.int64))
         for i in range(n_regions)
     )
 

@@ -380,3 +380,34 @@ def test_rescale_tolerates_non_finite_pfm_pixels(tmp_path, sparse_scene, capsys)
     assert "4 non-finite" in capsys.readouterr().err
     valid = io.load_depth(out).valid
     assert not valid[0, :3].any() and not valid[1, 0]
+
+
+def test_write_manifest_into_subdirectory_replays(tmp_path, sparse_scene, monkeypatch):
+    # paths typed relative to the working directory are recorded relative
+    # to the manifest's directory, which is where a replay reads them from
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "again").mkdir()
+    code = main(
+        [
+            "rescale",
+            "--depth", "rel.dpg",
+            "--mask", "mask.pgm",
+            "--samples", "samples.csv",
+            "--method", "ssf",
+            "--already-depth",
+            "--out", "first.dpg",
+            "--write-manifest", "sub/run.json",
+        ]
+    )
+    assert code == 0
+    assert io.load_manifest("sub/run.json").depth_path == "../rel.dpg"
+    outputs = [tmp_path / "first.dpg", tmp_path / "first.dpg.regions.json"]
+    first = [p.read_bytes() for p in outputs]
+    # replay, re-writing the manifest elsewhere, then replay that one
+    for argv in (["--manifest", "sub/run.json", "--write-manifest", "again/run.json"],
+                 ["--manifest", "again/run.json"]):
+        for p in outputs:
+            p.unlink()
+        assert main(["rescale", *argv]) == 0
+        assert [p.read_bytes() for p in outputs] == first

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthscale.errors import DegenerateDesign, InsufficientSamples, ZeroMedian
+from depthscale.errors import DegenerateDesign, InputError, InsufficientSamples, ZeroMedian
 from depthscale.fitting import (
     FitParams,
     PairedObservations,
@@ -11,9 +13,10 @@ from depthscale.fitting import (
     fit_affine,
     fit_median_ratio,
     fit_planar,
+    normalized_coords,
     pair_observations,
 )
-from depthscale.grids import DepthGrid, SparseSamples
+from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 
 
 def obs_from(z2, z1, x=None, y=None):
@@ -153,30 +156,102 @@ def test_median_ratio_matches_sort_oracle():
 # ------------------------------------------------------------------ apply
 
 
+def one_label(shape):
+    return LabelGrid(np.zeros(shape, dtype=np.int32))
+
+
 def test_apply_affine():
     grid = DepthGrid(np.array([[3.0]]))
     params = FitParams("affine", alpha=2.0, beta=1.0, gamma=0.0, delta=0.0, support=2, condition=1.0)
-    out = apply_fit(grid, params, np.ones((1, 1), dtype=bool), (0.001, 10.0))
+    out = apply_fit(grid, one_label((1, 1)), [params], (0.001, 10.0))
     assert out.values[0, 0] == 7.0
 
 
 def test_apply_planar_matches_fit_example():
     # pixel at bottom-right corner has x = y = 1
     values = np.ones((3, 3))
-    grid = DepthGrid(values)
+    valid = np.ones((3, 3), dtype=bool)
+    valid[0, 0] = False
+    grid = DepthGrid(values, valid)
     params = FitParams("planar", alpha=2.0, beta=0.0, gamma=0.0, delta=3.0, support=4, condition=1.0)
-    subset = np.zeros((3, 3), dtype=bool)
-    subset[2, 2] = True
-    out = apply_fit(grid, params, subset, (0.001, 10.0))
+    out = apply_fit(grid, one_label((3, 3)), [params], (0.001, 10.0))
     assert out.values[2, 2] == 5.0
-    assert out.n_valid == 1
+    assert np.array_equal(out.valid, valid)
 
 
 def test_apply_clamps_to_floor():
     grid = DepthGrid(np.array([[1.0]]))
     params = FitParams("affine", alpha=1.0, beta=-1.5, gamma=0.0, delta=0.0, support=2, condition=1.0)
-    out = apply_fit(grid, params, np.ones((1, 1), dtype=bool), (0.001, 10.0))
+    out = apply_fit(grid, one_label((1, 1)), [params], (0.001, 10.0))
     assert out.values[0, 0] == 0.001
+
+
+IDENTITY = FitParams("median", alpha=1.0, beta=0.0, gamma=0.0, delta=0.0, support=1, condition=1.0)
+
+
+def test_apply_rejects_mask_of_another_shape():
+    with pytest.raises(InputError, match="shape"):
+        apply_fit(DepthGrid(np.ones((2, 3))), one_label((3, 2)), [IDENTITY], (0.001, 10.0))
+
+
+def test_apply_rejects_label_without_params():
+    mask = LabelGrid(np.array([[0, 1], [2, 1]]))
+    with pytest.raises(InputError, match="label 2"):
+        apply_fit(DepthGrid(np.ones((2, 2))), mask, [IDENTITY, IDENTITY], (0.001, 10.0))
+
+
+def reference_apply(d_rel, params, subset, clamp):
+    """One region's fit over a pixel subset, each kind by its own formula."""
+    sel = subset & d_rel.valid
+    z2 = d_rel.values[sel]
+    if params.kind == "affine":
+        out = params.alpha * z2 + params.beta
+    elif params.kind == "median":
+        out = params.alpha * z2
+    else:
+        rows, cols = np.nonzero(sel)
+        x, y = normalized_coords(rows, cols, d_rel.height, d_rel.width)
+        out = params.alpha * z2 + params.beta * x + params.gamma * y + params.delta
+    values = np.zeros(d_rel.shape)
+    values[sel] = np.clip(out, clamp[0], clamp[1])
+    return values, sel
+
+
+@st.composite
+def labelled_fits(draw):
+    """A grid with invalid pixels holding inf/nan, a label grid and one fit per label."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n_labels = draw(st.integers(1, 6))
+    labels = rng.integers(0, n_labels, size=(h, w))
+    valid = rng.random((h, w)) > draw(st.sampled_from([0.0, 0.2, 0.6]))
+    values = rng.uniform(-3.0, 6.0, (h, w))
+    values[~valid] = rng.choice([np.inf, -np.inf, np.nan, 0.0], size=int((~valid).sum()))
+    term = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-20.0, 20.0))
+    params = [
+        FitParams(draw(st.sampled_from(["affine", "planar", "median"])), draw(term), draw(term),
+                  draw(term), draw(term), support=4, condition=1.0)
+        for _ in range(n_labels)
+    ]
+    clamp = draw(st.sampled_from([(0.001, 10.0), (0.2, 5.0), (1.0, 1.0), (1e-300, 1e300)]))
+    return DepthGrid(values, valid), LabelGrid(labels), params, clamp
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_fits())
+def test_apply_matches_region_by_region_reference(case):
+    d_rel, mask, params, clamp = case
+    want = np.zeros(d_rel.shape)
+    want_valid = np.zeros(d_rel.shape, dtype=bool)
+    for label, p in enumerate(params):
+        values, sel = reference_apply(d_rel, p, mask.labels == label, clamp)
+        want[sel] = values[sel]
+        want_valid |= sel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = apply_fit(d_rel, mask, params, clamp)
+    assert got.values.tobytes() == want.tobytes()
+    assert np.array_equal(got.valid, want_valid)
 
 
 # -------------------------------------------------------------- properties

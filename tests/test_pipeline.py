@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
 from depthscale.normalize import affine_invariant_normalize
 from depthscale.pipeline import PipelineConfig, rescale
+from depthscale.synth import generate_scene, random_scene, sample_uniform
 
 WIDE_CLAMP = (0.001, 100.0)
 
@@ -223,3 +225,24 @@ def test_merge_same_label_keeps_islands_together():
     _, split_reports = rescale(d_in, LabelGrid(labels), samples, split_cfg)
     assert len(merged_reports) == 2
     assert len(split_reports) == 3
+
+
+@pytest.fixture(scope="module")
+def twenty_region_scene():
+    spec = random_scene(1, height=240, width=320, region_range=(20, 20))
+    gt, rel, mask = generate_scene(spec)
+    return rel, mask, sample_uniform(gt, 1000, 0)
+
+
+@pytest.mark.parametrize("method", ["slf", "ssf", "median", "global-linear"])
+def test_rescale_peak_memory_is_a_few_grids(twenty_region_scene, method):
+    # the output is written in one label-indexed pass, not one full-frame
+    # pass per region, so the peak stays a few grids whatever the region count
+    rel, mask, samples = twenty_region_scene
+    tracemalloc.start()
+    try:
+        rescale(rel, mask, samples, PipelineConfig(method=method))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rel.values.nbytes
