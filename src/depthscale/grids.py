@@ -100,8 +100,11 @@ class LabelGrid:
 
     def is_canonical(self) -> bool:
         """True when the label set is exactly {0 .. max}."""
-        present = np.unique(self.labels)
-        return bool(present.size == self.labels.max() + 1)
+        flat = self.labels.ravel()
+        top = int(flat.max())
+        # A canonical grid has no more labels than pixels; checking that
+        # first keeps bincount from allocating up to a huge label.
+        return top < flat.size and bool(np.bincount(flat, minlength=top + 1).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +133,9 @@ class SparseSamples:
                 raise InputError("sample coordinates must be non-negative")
             if not np.isfinite(depths).all() or depths.min() <= 0:
                 raise InputError("sample depths must be finite and strictly positive")
-            key = np.stack([rows, cols], axis=1)
-            if np.unique(key, axis=0).shape[0] != rows.size:
+            order = np.lexsort((cols, rows))
+            r, c = rows[order], cols[order]
+            if ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
                 raise DuplicateSample("duplicate (row, col) in sparse samples")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -160,13 +164,20 @@ def canonicalize_labels(mask: LabelGrid) -> LabelGrid:
 
     The scan is row-major, so the region containing the top-left pixel
     becomes label 0. Idempotent.
+
+    The first-appearance order is read from the label changes alone:
+    only the first pixel of each run of equal labels (in row-major
+    order) takes part in the ranking.
     """
     flat = mask.labels.ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(order.size, dtype=np.int32)
-    rank[order] = np.arange(order.size, dtype=np.int32)
-    return LabelGrid(rank[inverse].reshape(mask.labels.shape))
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    values, inverse = np.unique(flat[starts], return_inverse=True)
+    first = np.full(values.size, starts.size)
+    np.minimum.at(first, inverse, np.arange(starts.size))
+    rank = np.empty(values.size, dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(values.size, dtype=np.int32)
+    out = np.repeat(rank[inverse], np.diff(starts, append=flat.size))
+    return LabelGrid(out.reshape(mask.labels.shape))
 
 
 def samples_to_grid(samples: SparseSamples, height: int, width: int) -> DepthGrid:

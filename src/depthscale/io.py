@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -262,7 +263,7 @@ def load_samples(path) -> SparseSamples:
                 r, c, d = int(record[0]), int(record[1]), float(record[2])
             except ValueError as err:
                 raise CorruptHeader(f"{path}:{lineno}: {err}") from err
-            if not np.isfinite(d) or d <= 0:
+            if not math.isfinite(d) or d <= 0:
                 print(
                     f"warning: {path}:{lineno}: dropping sample with depth {d}",
                     file=sys.stderr,

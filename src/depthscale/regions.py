@@ -8,6 +8,10 @@ absorbs neighboring regions breadth-first, one ring at a time, taking
 regions within a ring in ascending-id order so the result is
 reproducible.
 
+The split and the adjacency both work on horizontal runs of equal
+labels. A few full-frame passes find the runs, and all later work is
+per run, so the cost is O(H·W) whatever the number of label values.
+
 Graphs are immutable once built; expansions for different origins are
 independent and may run concurrently.
 """
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, OutOfBounds
 from .grids import LabelGrid, SparseSamples, canonicalize_labels
@@ -26,12 +31,55 @@ from .grids import LabelGrid, SparseSamples, canonicalize_labels
 CONNECTIVITIES = (4, 8)
 
 
-def _structure(connectivity: int) -> np.ndarray:
+def _run_starts(labels: np.ndarray) -> np.ndarray:
+    """Flat indices where a horizontal run of equal labels starts.
+
+    Every row starts a run, so no run spans two rows.
+    """
+    flat = labels.ravel()
+    start = np.empty(flat.size, dtype=bool)
+    start[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=start[1:])
+    start[:: labels.shape[1]] = True
+    return np.flatnonzero(start)
+
+
+def _cross_row_neighbors(
+    starts: np.ndarray, shape: tuple[int, int], connectivity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair runs with pixels in the adjacent rows so that every touching run is met.
+
+    Each run is paired with the pixel below its first pixel (and the two
+    diagonal ones for 8-connectivity) and with the pixel above it (above
+    and to the left for 8-connectivity). That meets every run it touches
+    in the next or previous row: take touching runs starting at column a
+    in row r and at column b in row r + 1. If b <= a (b <= a + 1 under
+    8-connectivity), a pixel below the upper start is in the lower run;
+    otherwise the pixel over (or up-left of) the lower start is in the
+    upper run. So a fixed number of pairs per run suffice, whatever the
+    run lengths. Returns the run index (into `starts`, ascending) and
+    the flat index of the paired pixel.
+    """
+    height, width = shape
+    row, col = np.divmod(starts, width)
+    below, above = row < height - 1, row > 0
     if connectivity == 4:
-        return np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    if connectivity == 8:
-        return np.ones((3, 3), dtype=bool)
-    raise InputError(f"connectivity must be 4 or 8, got {connectivity}")
+        inside = np.stack([below, above], axis=1)
+        offsets = np.array([width, -width])
+    elif connectivity == 8:
+        left, right = col > 0, col < width - 1
+        inside = np.stack([below & left, below, below & right, above & left], axis=1)
+        offsets = np.array([width - 1, width, width + 1, -width - 1])
+    else:
+        raise InputError(f"connectivity must be 4 or 8, got {connectivity}")
+    run, which = np.nonzero(inside)
+    return run, starts[run] + offsets[which]
+
+
+def _group_bounds(keys: np.ndarray, n_groups: int) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of each key 0 .. n_groups - 1 in the keys, once sorted."""
+    ends = np.cumsum(np.bincount(keys, minlength=n_groups)).tolist()
+    return list(zip([0] + ends[:-1], ends))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,17 +123,24 @@ def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
 
     Pixels sharing a label but not spatially connected become separate
     regions. The output is canonical (labels = first-appearance order).
+    One connected-components pass covers every label: its nodes are the
+    horizontal runs of equal labels, joined where runs of the same label
+    touch across rows. The cost is O(H·W) whatever the number of labels.
     """
-    structure = _structure(connectivity)
     labels = mask.labels
-    out = np.zeros(labels.shape, dtype=np.int32)
-    offset = 0
-    for value in np.unique(labels):
-        component, count = ndimage.label(labels == value, structure=structure)
-        sel = component > 0
-        out[sel] = component[sel] - 1 + offset
-        offset += count
-    return canonicalize_labels(LabelGrid(out))
+    flat = labels.ravel()
+    starts = _run_starts(labels)
+    run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
+    same = flat[starts][run] == flat[pixel]
+    # `run` ascends, so the equal-label pairs fill a CSR matrix row by row.
+    n_runs = starts.size
+    indptr = np.zeros(n_runs + 1, dtype=np.intp)
+    np.cumsum(np.bincount(run[same], minlength=n_runs), out=indptr[1:])
+    touched = np.searchsorted(starts, pixel[same], side="right") - 1
+    graph = csr_matrix((np.ones(touched.size), touched, indptr), shape=(n_runs, n_runs))
+    _, component = connected_components(graph, directed=False)
+    out = np.repeat(component, np.diff(starts, append=flat.size))
+    return canonicalize_labels(LabelGrid(out.reshape(labels.shape)))
 
 
 def build_region_graph(
@@ -104,47 +159,32 @@ def build_region_graph(
         raise InputError("mask is not canonical; run canonicalize_labels or split_into_components")
 
     # Sample assignment, preserving original sample order inside a region.
-    if len(samples):
-        if samples.rows.max() >= height or samples.cols.max() >= width:
-            raise OutOfBounds(f"sample coordinates exceed mask shape ({height}, {width})")
-        region_of = labels[samples.rows, samples.cols]
-        sample_order = np.argsort(region_of, kind="stable")
-        sample_counts = np.bincount(region_of, minlength=n_regions)
-        sample_groups = np.split(sample_order, np.cumsum(sample_counts)[:-1])
-    else:
-        sample_groups = [np.empty(0, dtype=np.int64)] * n_regions
-
+    if len(samples) and (samples.rows.max() >= height or samples.cols.max() >= width):
+        raise OutOfBounds(f"sample coordinates exceed mask shape ({height}, {width})")
+    region_of = labels[samples.rows, samples.cols]
+    sample_order = np.argsort(region_of, kind="stable").astype(np.int64, copy=False)
     regions = tuple(
-        Region(id=i, sample_indices=np.asarray(sample_groups[i], dtype=np.int64))
-        for i in range(n_regions)
+        Region(id=i, sample_indices=sample_order[lo:hi])
+        for i, (lo, hi) in enumerate(_group_bounds(region_of, n_regions))
     )
 
-    # Adjacency from label discontinuities between neighboring pixels.
-    pairs = [
-        (labels[:, :-1], labels[:, 1:]),
-        (labels[:-1, :], labels[1:, :]),
-    ]
-    if connectivity == 8:
-        pairs += [
-            (labels[:-1, :-1], labels[1:, 1:]),
-            (labels[:-1, 1:], labels[1:, :-1]),
-        ]
-    elif connectivity != 4:
-        raise InputError(f"connectivity must be 4 or 8, got {connectivity}")
-    edge_set: set[tuple[int, int]] = set()
-    for a, b in pairs:
-        diff = a != b
-        lo = np.minimum(a[diff], b[diff])
-        hi = np.maximum(a[diff], b[diff])
-        if lo.size:
-            uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
-            edge_set.update((int(p), int(q)) for p, q in uniq)
-
-    neighbor_lists: list[list[int]] = [[] for _ in range(n_regions)]
-    for p, q in edge_set:
-        neighbor_lists[p].append(q)
-        neighbor_lists[q].append(p)
-    neighbor_ids = tuple(tuple(sorted(ns)) for ns in neighbor_lists)
+    # Adjacency from label changes: inside a row they sit at run starts,
+    # across rows the run starts' neighbours meet them all.
+    flat = labels.ravel()
+    starts = _run_starts(labels)
+    run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
+    run_label = flat[starts]
+    inner = np.flatnonzero(starts % width)
+    p = np.concatenate([run_label[run], run_label[inner]]).astype(np.int64)
+    q = np.concatenate([flat[pixel], run_label[inner - 1]]).astype(np.int64)
+    change = p != q
+    p, q = p[change], q[change]
+    # One code per directed edge; sorted, they run by region, then by neighbour.
+    codes = np.sort(np.concatenate([p * n_regions + q, q * n_regions + p]))
+    codes = codes[np.diff(codes, prepend=-1) > 0]
+    region, neighbor = np.divmod(codes, n_regions)
+    neighbor = neighbor.tolist()
+    neighbor_ids = tuple(tuple(neighbor[lo:hi]) for lo, hi in _group_bounds(region, n_regions))
 
     return RegionGraph(regions=regions, neighbor_ids=neighbor_ids)
 

@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InputError, InvalidSpec, TooManyRequested
 from .grids import DepthGrid, LabelGrid, SparseSamples
+from .regions import split_into_components
 
 LAYOUT_GRID = "grid"
 LAYOUT_VORONOI = "voronoi"
@@ -400,9 +400,10 @@ def random_scene(
         )
         labels = _layout_labels(spec)
         owned = np.bincount(labels.ravel(), minlength=count)
-        if owned.min() < min_region_pixels:
+        if owned.min() < max(min_region_pixels, 1):
             continue
-        if all(ndimage.label(labels == i)[1] == 1 for i in range(count)):
+        # every site owns pixels, so `count` components means one piece each
+        if split_into_components(LabelGrid(labels), 4).labels.max() + 1 == count:
             return spec
     raise InvalidSpec(
         f"could not place {count} connected voronoi cells with >= {min_region_pixels} pixels each"

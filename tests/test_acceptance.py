@@ -21,9 +21,9 @@ from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
 from depthscale.normalize import affine_invariant_normalize, lower_median
 from depthscale.pipeline import PipelineConfig, rescale
-from depthscale.regions import split_into_components
 from depthscale.synth import generate_scene, random_scene, sample_uniform
 from test_fitting import obs_from, reference_apply
+from test_regions import reference_split
 
 CLAMP = (0.001, 10.0)
 
@@ -380,8 +380,8 @@ def test_criterion_09_termination_and_coverage():
         # output validity mirrors the input
         assert np.array_equal(out.valid, d_in.valid)
         # every region of the split mask appears exactly once in the report
-        expected = split_into_components(mask, cfg.connectivity)
-        n_regions = int(expected.labels.max()) + 1
+        expected = reference_split(labels, cfg.connectivity)
+        n_regions = int(expected.max()) + 1
         assert [r.region_id for r in reports] == list(range(n_regions))
         # and every valid pixel holds its own region's reported fit
         if cfg.method == "median":
@@ -390,7 +390,7 @@ def test_criterion_09_termination_and_coverage():
             working, _ = affine_invariant_normalize(d_in, cfg.normalization)
         written = np.zeros((h, w), dtype=bool)
         for r in reports:
-            values, sel = reference_apply(working, r.params, expected.labels == r.region_id, CLAMP)
+            values, sel = reference_apply(working, r.params, expected == r.region_id, CLAMP)
             assert np.array_equal(out.values[sel], values[sel])
             written |= sel
         assert np.array_equal(written, d_in.valid)

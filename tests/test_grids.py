@@ -14,6 +14,45 @@ from depthscale.grids import (
 )
 
 
+def reference_canonicalize(labels: np.ndarray) -> np.ndarray:
+    """Canonical labels from a sort of every pixel: the obvious form, kept as the oracle."""
+    flat = np.asarray(labels).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    return rank[inverse].reshape(np.shape(labels))
+
+
+def reference_is_canonical(labels: np.ndarray) -> bool:
+    return bool(np.unique(labels).size == np.max(labels) + 1)
+
+
+def label_grids(max_side=12, max_label=65535, min_values=1):
+    """Label grids of 1..max_side squared pixels, min_values..8 values up to max_label.
+
+    Blocks of 1..4 pixels square, then scattered single pixels.
+    """
+    return st.tuples(
+        st.integers(1, max_side),
+        st.integers(1, max_side),
+        st.lists(st.integers(0, max_label), min_size=min_values, max_size=8, unique=True),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    ).map(_label_grid)
+
+
+def _label_grid(args):
+    h, w, values, block, seed = args
+    rng = np.random.default_rng(seed)
+    coarse = rng.choice(values, size=(-(-h // block), -(-w // block)))
+    labels = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:h, :w]
+    # scatter single pixels, which may also join or split the blocks
+    k = int(rng.integers(0, h * w // 4 + 1))
+    labels[rng.integers(0, h, k), rng.integers(0, w, k)] = rng.choice(values, size=k)
+    return labels
+
+
 def test_depth_grid_basics():
     g = DepthGrid(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert g.height == 2 and g.width == 2
@@ -65,6 +104,32 @@ def test_canonicalize_is_idempotent(flat):
     assert np.array_equal(once.labels, twice.labels)
 
 
+@settings(max_examples=300, deadline=None)
+@given(label_grids())
+def test_canonicalize_matches_unique_reference(labels):
+    out = canonicalize_labels(LabelGrid(labels)).labels
+    want = reference_canonicalize(labels)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_grids(max_label=40), st.booleans())
+def test_is_canonical_matches_unique_reference(labels, canonicalize):
+    mask = LabelGrid(labels)
+    if canonicalize:
+        mask = canonicalize_labels(mask)
+    assert mask.is_canonical() == reference_is_canonical(mask.labels)
+
+
+def test_is_canonical_with_labels_beyond_pixel_count():
+    # more label values than pixels cannot be canonical, however large
+    assert not LabelGrid(np.array([[0, 2**31 - 1], [1, 2]])).is_canonical()
+    assert not LabelGrid(np.array([[0, 4], [1, 2]])).is_canonical()
+    assert LabelGrid(np.array([[0, 3], [1, 2]])).is_canonical()
+    assert not LabelGrid(np.full((4, 4), 65535)).is_canonical()
+
+
 def test_samples_to_grid_single_point():
     s = SparseSamples.from_points([(0, 0, 2.0)])
     g = samples_to_grid(s, 2, 2)
@@ -86,6 +151,22 @@ def test_samples_to_grid_out_of_bounds():
 def test_duplicate_coordinate_rejected():
     with pytest.raises(DuplicateSample):
         SparseSamples.from_points([(0, 0, 1.0), (0, 0, 2.0)])
+
+
+def test_duplicate_detected_at_huge_coordinates():
+    big = 2**40
+    # distinct pixels; a row-major code rows * (cols.max() + 1) + cols
+    # wraps round int64 and gives the first two the same code
+    distinct = SparseSamples.from_points([(big, 0, 1.0), (0, 0, 2.0), (0, 2**24 - 1, 3.0)])
+    assert len(distinct) == 3
+    distinct = SparseSamples.from_points(
+        [(big, big + 1, 1.0), (big + 1, big, 2.0), (big, big, 3.0), (0, big, 4.0)]
+    )
+    assert len(distinct) == 4
+    with pytest.raises(DuplicateSample):
+        SparseSamples.from_points([(big, big + 1, 1.0), (big + 1, big, 2.0), (big, big + 1, 3.0)])
+    with pytest.raises(DuplicateSample):
+        SparseSamples.from_points([(2, 9, 1.0), (big, 3, 2.0), (7, 7, 1.0), (big, 3, 5.0)])
 
 
 def test_sample_invariants():

@@ -173,6 +173,20 @@ def test_samples_csv_rejects_bad_depth_with_warning(tmp_path, capsys):
     assert "dropping sample" in capsys.readouterr().err
 
 
+def test_samples_csv_drops_each_non_finite_or_non_positive_depth(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text(
+        "row,col,depth_m\n0,0,nan\n0,1,inf\n0,2,-inf\n0,3,0\n0,4,-0.0\n\n0,5,1e-300\n0,6,1.5\n"
+    )
+    back = io.load_samples(path)
+    assert back.points == [(0, 5, 1e-300), (0, 6, 1.5)]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"warning: {path}:{n}: dropping sample with depth {d}"
+        for n, d in [(2, "nan"), (3, "inf"), (4, "-inf"), (5, "0.0"), (6, "-0.0")]
+    ]
+
+
 def test_samples_csv_duplicate(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("row,col,depth_m\n0,0,2.5\n0,0,3.5\n")

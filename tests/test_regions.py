@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from depthscale.errors import InputError
 from depthscale.grids import LabelGrid, SparseSamples, canonicalize_labels
@@ -10,8 +11,42 @@ from depthscale.regions import (
     expand_until,
     split_into_components,
 )
+from test_grids import label_grids, reference_canonicalize
 
 NO_SAMPLES = SparseSamples.from_points([])
+
+
+def reference_split(labels: np.ndarray, connectivity: int = 4) -> np.ndarray:
+    """One `ndimage.label` pass per label value, then canonical labels.
+
+    The per-label loop the split used to run, kept as the oracle.
+    """
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    labels = np.asarray(labels)
+    out = np.zeros(labels.shape, dtype=np.int32)
+    offset = 0
+    for value in np.unique(labels):
+        component, count = ndimage.label(labels == value, structure=structure)
+        sel = component > 0
+        out[sel] = component[sel] - 1 + offset
+        offset += count
+    return reference_canonicalize(out)
+
+
+def reference_neighbors(labels: np.ndarray, connectivity: int = 4) -> tuple:
+    """Adjacency from every pair of neighbouring pixels, one by one."""
+    h, w = labels.shape
+    steps = [(0, 1), (1, 0)] + ([(1, 1), (1, -1)] if connectivity == 8 else [])
+    touching = [set() for _ in range(int(labels.max()) + 1)]
+    for r in range(h):
+        for c in range(w):
+            for dr, dc in steps:
+                if 0 <= r + dr < h and 0 <= c + dc < w:
+                    p, q = int(labels[r, c]), int(labels[r + dr, c + dc])
+                    if p != q:
+                        touching[p].add(q)
+                        touching[q].add(p)
+    return tuple(tuple(sorted(ns)) for ns in touching)
 
 
 def graph_of(labels, samples=NO_SAMPLES, connectivity=4):
@@ -125,6 +160,35 @@ def test_expand_ring_order_ascending():
     exp = expand_until(g, origin, lambda idx: False)
     ring = exp.included[1:]
     assert list(ring) == sorted(ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_grids(max_side=30, min_values=2), st.sampled_from([4, 8]))
+def test_split_and_graph_match_reference(labels, connectivity):
+    out = split_into_components(LabelGrid(labels), connectivity).labels
+    want = reference_split(labels, connectivity)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    g = build_region_graph(LabelGrid(want), NO_SAMPLES, connectivity)
+    assert g.neighbor_ids == reference_neighbors(want, connectivity)
+
+
+def test_split_one_value_per_pixel():
+    # every pixel its own run and, under 4-connectivity, its own region
+    labels = np.arange(35).reshape(5, 7)
+    assert np.array_equal(split_into_components(LabelGrid(labels * 1000), 4).labels, labels)
+    for shape in ((1, 1), (1, 9), (9, 1)):
+        labels = np.arange(np.prod(shape)).reshape(shape) % 2
+        for connectivity in (4, 8):
+            got = split_into_components(LabelGrid(labels), connectivity).labels
+            assert np.array_equal(got, reference_split(labels, connectivity))
+
+
+def test_split_rejects_unknown_connectivity():
+    with pytest.raises(InputError):
+        split_into_components(LabelGrid(np.zeros((2, 2), dtype=int)), 6)
+    with pytest.raises(InputError):
+        graph_of(np.zeros((2, 2), dtype=int), connectivity=6)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from depthscale.errors import InvalidSpec, TooManyRequested
 from depthscale.grids import DepthGrid
@@ -239,6 +242,32 @@ def test_voronoi_regions_all_present():
     counts = np.bincount(mask.labels.ravel(), minlength=spec.n_regions)
     assert counts.min() >= 25
     assert counts.size == spec.n_regions
+
+
+@pytest.mark.parametrize(
+    "size, region_range, min_pixels",
+    [((30, 40), (20, 40), 3), ((24, 24), (8, 30), 0), ((60, 80), (12, 12), 30)],
+)
+def test_voronoi_redraws_match_per_site_check(size, region_range, min_pixels):
+    # The layout each seed settles on, against the check it replaced: one
+    # ndimage.label per site, every cell exactly one 4-connected piece.
+    redrawn = 0
+    for seed in range(10):
+        spec = random_scene(
+            seed, height=size[0], width=size[1], region_range=region_range,
+            min_region_pixels=min_pixels,
+        )
+        for attempt in range(64):
+            candidate = dataclasses.replace(spec, seed=seed + 100003 * attempt)
+            labels = generate_scene(candidate)[2].labels
+            owned = np.bincount(labels.ravel(), minlength=spec.n_regions)
+            if owned.min() >= min_pixels and all(
+                ndimage.label(labels == i)[1] == 1 for i in range(spec.n_regions)
+            ):
+                break
+        assert spec.seed == candidate.seed
+        redrawn += attempt > 0
+    assert redrawn > 0
 
 
 def test_grid_layout_row_major_labels():
