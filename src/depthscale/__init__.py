@@ -32,7 +32,6 @@ from .normalize import NormalizationStats, affine_invariant_normalize, invert_de
 from .pipeline import NYU_CLAMP, VOID_CLAMP, PipelineConfig, RegionReport, rescale
 from .regions import (
     Expansion,
-    Region,
     RegionGraph,
     build_region_graph,
     expand_until,
@@ -66,7 +65,6 @@ __all__ = [
     "PairedObservations",
     "PipelineConfig",
     "Plane",
-    "Region",
     "RegionGraph",
     "RegionReport",
     "SceneSpec",

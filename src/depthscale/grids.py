@@ -159,18 +159,31 @@ class SparseSamples:
         return int(self.rows.size)
 
 
+def run_starts(labels: np.ndarray) -> np.ndarray:
+    """Flat indices where a horizontal run of equal labels starts.
+
+    Every row starts a run, so no run spans two rows.
+    """
+    flat = labels.ravel()
+    start = np.empty(flat.size, dtype=bool)
+    start[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=start[1:])
+    start[:: labels.shape[1]] = True
+    return np.flatnonzero(start)
+
+
 def canonicalize_labels(mask: LabelGrid) -> LabelGrid:
     """Remap labels to {0 .. R-1} by order of first appearance.
 
     The scan is row-major, so the region containing the top-left pixel
     becomes label 0. Idempotent.
 
-    The first-appearance order is read from the label changes alone:
-    only the first pixel of each run of equal labels (in row-major
-    order) takes part in the ranking.
+    The first-appearance order is read from the run starts alone: only
+    the first pixel of each horizontal run of equal labels takes part
+    in the ranking.
     """
     flat = mask.labels.ravel()
-    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    starts = run_starts(mask.labels)
     values, inverse = np.unique(flat[starts], return_inverse=True)
     first = np.full(values.size, starts.size)
     np.minimum.at(first, inverse, np.arange(starts.size))

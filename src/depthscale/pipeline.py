@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -96,6 +97,11 @@ class PipelineConfig:
             raise InputError("min_samples_linear must be >= 2 (algebraic minimum)")
         if self.min_samples_planar < 4:
             raise InputError("min_samples_planar must be >= 4 (algebraic minimum)")
+        hops = self.max_hops
+        if hops is not None and (type(hops) is bool or not isinstance(hops, Integral) or hops < 0):
+            raise InputError(f"max_hops must be None or an integer >= 0, got {hops!r}")
+        if not (isinstance(self.cond_max, Real) and 0 < self.cond_max < math.inf):
+            raise InputError(f"cond_max must be finite and > 0, got {self.cond_max!r}")
         if self.connectivity not in CONNECTIVITIES:
             raise InputError(f"connectivity must be one of {CONNECTIVITIES}")
         if self.normalization not in NORMALIZATION_MODES:
@@ -191,17 +197,10 @@ def rescale(
         region_mask = canonicalize_labels(mask)
     else:
         region_mask = split_into_components(mask, cfg.connectivity)
-    graph = build_region_graph(region_mask, samples, cfg.connectivity)
-
+    # Samples on invalid pixels drop out here, so the graph's sample
+    # groups index `paired` rows and a group's size is its observation count.
     paired = pair_observations(working, samples)
-    # Map original sample index -> row in `paired` (-1 where dropped).
-    kept = working.valid[samples.rows, samples.cols]
-    position = np.cumsum(kept) - 1
-    position[~kept] = -1
-
-    def obs_for(sample_indices: np.ndarray) -> PairedObservations:
-        pos = position[sample_indices]
-        return paired.take(pos[pos >= 0])
+    graph = build_region_graph(region_mask, paired, cfg.connectivity)
 
     global_cache: dict[str, FitParams] = {}
 
@@ -213,7 +212,7 @@ def rescale(
 
     chain = _effective_chain(cfg)
     chosen: list[FitParams] = []
-    for region in graph.regions:
+    for region_id in range(graph.n_regions):
         params: FitParams | None = None
         last_error: DegeneracyError | None = None
         for entry in chain:
@@ -229,16 +228,15 @@ def rescale(
             found: dict[str, FitParams] = {}
 
             def need(accumulated: np.ndarray) -> bool:
-                obs = obs_for(accumulated)
-                if len(obs) < minimum:
+                if accumulated.size < minimum:
                     return False
                 try:
-                    found["params"] = _fit(kind, obs, cfg)
+                    found["params"] = _fit(kind, paired.take(accumulated), cfg)
                 except DegeneracyError:
                     return False
                 return True
 
-            expansion = expand_until(graph, region.id, need, cfg.max_hops)
+            expansion = expand_until(graph, region_id, need, cfg.max_hops)
             if "params" in found:
                 provenance = PROV_OWN if expansion.hop == 0 else PROV_EXPANDED
                 params = replace(found["params"], provenance=provenance, hop=expansion.hop)
@@ -247,23 +245,22 @@ def rescale(
             if last_error is not None:
                 raise last_error
             raise InsufficientSamples(
-                f"region {region.id}: fallback chain {chain} exhausted without a usable fit"
+                f"region {region_id}: fallback chain {chain} exhausted without a usable fit"
             )
         chosen.append(params)
 
     out = apply_fit(working, region_mask, chosen, cfg.clamp)
 
     reports = []
-    for region, params in zip(graph.regions, chosen):
-        own = obs_for(region.sample_indices)
-        if len(own):
-            predicted = out.values[own.rows, own.cols]
-            rmse = float(np.sqrt(np.mean((predicted - own.z1) ** 2)))
+    for region_id, (own, params) in enumerate(zip(graph.samples, chosen)):
+        if own.size:
+            predicted = out.values[paired.rows[own], paired.cols[own]]
+            rmse = float(np.sqrt(np.mean((predicted - paired.z1[own]) ** 2)))
         else:
             rmse = float("nan")
         reports.append(
             RegionReport(
-                region_id=region.id,
+                region_id=region_id,
                 params=params,
                 hop=params.hop,
                 samples_used=params.support,

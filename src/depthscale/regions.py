@@ -2,11 +2,13 @@
 
 A label grid is first split into spatially connected components
 (segmentation exports may scatter one label across the image), then
-each component becomes a node in a region adjacency graph. When a
-region alone does not hold enough sparse measurements, `expand_until`
-absorbs neighboring regions breadth-first, one ring at a time, taking
-regions within a ring in ascending-id order so the result is
-reproducible.
+each component becomes a node in a region adjacency graph. The graph
+also groups the samples by region: each group holds indices into the
+sample set the graph was built from, which may be the raw samples or
+the observations paired from them. When a region alone does not hold
+enough sparse measurements, `expand_until` absorbs neighboring regions
+breadth-first, one ring at a time, taking regions within a ring in
+ascending-id order so the result is reproducible.
 
 The split and the adjacency both work on horizontal runs of equal
 labels. A few full-frame passes find the runs, and all later work is
@@ -26,22 +28,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, OutOfBounds
-from .grids import LabelGrid, SparseSamples, canonicalize_labels
+from .fitting import PairedObservations
+from .grids import LabelGrid, SparseSamples, canonicalize_labels, run_starts
 
 CONNECTIVITIES = (4, 8)
-
-
-def _run_starts(labels: np.ndarray) -> np.ndarray:
-    """Flat indices where a horizontal run of equal labels starts.
-
-    Every row starts a run, so no run spans two rows.
-    """
-    flat = labels.ravel()
-    start = np.empty(flat.size, dtype=bool)
-    start[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=start[1:])
-    start[:: labels.shape[1]] = True
-    return np.flatnonzero(start)
 
 
 def _cross_row_neighbors(
@@ -83,23 +73,19 @@ def _group_bounds(keys: np.ndarray, n_groups: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True, eq=False)
-class Region:
-    """One region: its label in the grid and the indices of samples inside it."""
-
-    id: int
-    sample_indices: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RegionGraph:
-    """Regions plus a symmetric, irreflexive adjacency over their ids."""
+    """Per-region sample groups plus a symmetric, irreflexive adjacency.
 
-    regions: tuple[Region, ...]
+    Regions are numbered by their label in the grid. `samples[i]` holds
+    the indices of the samples inside region i, ascending.
+    """
+
+    samples: tuple[np.ndarray, ...]
     neighbor_ids: tuple[tuple[int, ...], ...]
 
     @property
     def n_regions(self) -> int:
-        return len(self.regions)
+        return len(self.neighbor_ids)
 
     def neighbors(self, region_id: int) -> tuple[int, ...]:
         return self.neighbor_ids[region_id]
@@ -129,7 +115,7 @@ def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
     """
     labels = mask.labels
     flat = labels.ravel()
-    starts = _run_starts(labels)
+    starts = run_starts(labels)
     run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
     same = flat[starts][run] == flat[pixel]
     # `run` ascends, so the equal-label pairs fill a CSR matrix row by row.
@@ -144,13 +130,15 @@ def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
 
 
 def build_region_graph(
-    mask: LabelGrid, samples: SparseSamples, connectivity: int = 4
+    mask: LabelGrid, samples: SparseSamples | PairedObservations, connectivity: int = 4
 ) -> RegionGraph:
     """Build regions and adjacency from a canonical label grid.
 
     Adjacency holds between two regions iff some pixel of one touches a
     pixel of the other under the given connectivity. Each sample is
-    assigned to the single region containing its pixel.
+    assigned to the single region containing its pixel. `samples` may be
+    raw samples or paired observations (only their rows and cols are
+    read); the graph's sample groups index whichever was given.
     """
     labels = mask.labels
     height, width = labels.shape
@@ -158,20 +146,17 @@ def build_region_graph(
     if not mask.is_canonical():
         raise InputError("mask is not canonical; run canonicalize_labels or split_into_components")
 
-    # Sample assignment, preserving original sample order inside a region.
+    # Sample assignment, preserving sample order inside a region.
     if len(samples) and (samples.rows.max() >= height or samples.cols.max() >= width):
         raise OutOfBounds(f"sample coordinates exceed mask shape ({height}, {width})")
     region_of = labels[samples.rows, samples.cols]
     sample_order = np.argsort(region_of, kind="stable").astype(np.int64, copy=False)
-    regions = tuple(
-        Region(id=i, sample_indices=sample_order[lo:hi])
-        for i, (lo, hi) in enumerate(_group_bounds(region_of, n_regions))
-    )
+    groups = tuple(sample_order[lo:hi] for lo, hi in _group_bounds(region_of, n_regions))
 
     # Adjacency from label changes: inside a row they sit at run starts,
     # across rows the run starts' neighbours meet them all.
     flat = labels.ravel()
-    starts = _run_starts(labels)
+    starts = run_starts(labels)
     run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
     run_label = flat[starts]
     inner = np.flatnonzero(starts % width)
@@ -186,7 +171,7 @@ def build_region_graph(
     neighbor = neighbor.tolist()
     neighbor_ids = tuple(tuple(neighbor[lo:hi]) for lo, hi in _group_bounds(region, n_regions))
 
-    return RegionGraph(regions=regions, neighbor_ids=neighbor_ids)
+    return RegionGraph(samples=groups, neighbor_ids=neighbor_ids)
 
 
 def expand_until(
@@ -198,7 +183,8 @@ def expand_until(
     """Grow a region ring-by-ring until `need` accepts its samples.
 
     `need` receives the accumulated sample indices (in absorption
-    order) and returns True once they suffice. The expansion is
+    order), first for the origin alone and then after each absorbed
+    ring, and returns True once they suffice. The expansion is
     returned even when `need` is never satisfied, after all reachable
     regions (or `max_hops` rings) are absorbed; the caller decides the
     fallback. Deterministic: rings absorb in ascending region-id order.
@@ -209,11 +195,8 @@ def expand_until(
     seen = {origin}
     frontier = [origin]
     hop = 0
-    chunks = [graph.regions[origin].sample_indices]
-    while True:
-        accumulated = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        if need(accumulated):
-            break
+    accumulated = graph.samples[origin]
+    while not need(accumulated):
         if max_hops is not None and hop >= max_hops:
             break
         ring = sorted({n for rid in frontier for n in graph.neighbors(rid)} - seen)
@@ -221,8 +204,9 @@ def expand_until(
             break
         included.extend(ring)
         seen.update(ring)
-        chunks.extend(graph.regions[rid].sample_indices for rid in ring)
-        chunks = [np.concatenate(chunks)]
+        brought = [graph.samples[rid] for rid in ring if graph.samples[rid].size]
+        if brought:
+            accumulated = np.concatenate([accumulated, *brought])
         frontier = ring
         hop += 1
     return Expansion(origin=origin, included=tuple(included), hop=hop)

@@ -411,3 +411,26 @@ def test_write_manifest_into_subdirectory_replays(tmp_path, sparse_scene, monkey
             p.unlink()
         assert main(["rescale", *argv]) == 0
         assert [p.read_bytes() for p in outputs] == first
+
+
+def test_out_of_range_max_hops_and_cond_max_exit_2(tmp_path, sparse_scene, capsys):
+    # out-of-range settings stop the run before any output is written
+    flags = [
+        "rescale",
+        "--depth", str(tmp_path / "rel.dpg"),
+        "--mask", str(tmp_path / "mask.pgm"),
+        "--samples", str(tmp_path / "samples.csv"),
+        "--already-depth",
+        "--out", str(tmp_path / "metric.dpg"),
+    ]
+    assert main([*flags, "--max-hops", "-1"]) == 2
+    assert "max_hops" in capsys.readouterr().err
+    assert not (tmp_path / "metric.dpg").exists()
+    assert main([*flags, "--write-manifest", str(tmp_path / "run.json")]) == 0
+    (tmp_path / "metric.dpg").unlink()
+    doc = json.loads((tmp_path / "run.json").read_text())
+    doc["cond_max"] = -1
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
+    assert "cond_max" in capsys.readouterr().err
+    assert not (tmp_path / "metric.dpg").exists()

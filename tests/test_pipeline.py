@@ -1,15 +1,34 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from depthscale.errors import DegeneracyError, DimensionMismatch, NoSamples
+from depthscale.errors import (
+    DegeneracyError,
+    DepthScaleError,
+    DimensionMismatch,
+    InputError,
+    InsufficientSamples,
+    NoSamples,
+)
+from depthscale.fitting import (
+    apply_fit,
+    fit_affine,
+    fit_median_ratio,
+    fit_planar,
+    pair_observations,
+)
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
 from depthscale.normalize import affine_invariant_normalize
-from depthscale.pipeline import PipelineConfig, rescale
+from depthscale.pipeline import PipelineConfig, RegionReport, rescale
 from depthscale.synth import generate_scene, random_scene, sample_uniform
+from test_grids import label_grids, reference_canonicalize
+from test_regions import reference_neighbors, reference_split
 
 WIDE_CLAMP = (0.001, 100.0)
 
@@ -246,3 +265,159 @@ def test_rescale_peak_memory_is_a_few_grids(twenty_region_scene, method):
     finally:
         tracemalloc.stop()
     assert peak < 8 * rel.values.nbytes
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_hops", -1),
+        ("max_hops", 1.5),
+        ("max_hops", True),
+        ("cond_max", -1.0),
+        ("cond_max", 0.0),
+        ("cond_max", math.nan),
+        ("cond_max", math.inf),
+    ],
+)
+def test_config_rejects_out_of_range_hops_and_condition(field, value):
+    with pytest.raises(InputError):
+        PipelineConfig(**{field: value})
+
+
+def reference_region_fits(d_in, mask, samples, cfg):
+    """The fit stage as a slow, obvious oracle for `rescale`.
+
+    Samples are grouped over the original sample list, and a position
+    map turns a group into paired rows on every attempt (samples on
+    invalid pixels have no row). Each fallback-chain entry walks its own
+    rings over pixel-by-pixel adjacency, ascending ids within a ring.
+    Returns what `rescale` returns, the map written by `apply_fit`.
+    """
+    if cfg.method in ("slf", "ssf", "global-linear"):
+        working, _ = affine_invariant_normalize(d_in, cfg.normalization)
+    else:
+        working = d_in
+    if cfg.merge_same_label:
+        labels = reference_canonicalize(mask.labels)
+    else:
+        labels = reference_split(mask.labels, cfg.connectivity)
+    neighbors = reference_neighbors(labels, cfg.connectivity)
+    region_of = labels[samples.rows, samples.cols]
+    own = [[i for i in range(len(samples)) if region_of[i] == r] for r in range(len(neighbors))]
+    paired = pair_observations(working, samples)
+    kept = working.valid[samples.rows, samples.cols]
+    position = np.cumsum(kept) - 1
+
+    def obs_for(indices):
+        return paired.take(np.array([position[i] for i in indices if kept[i]], dtype=np.int64))
+
+    fits = {
+        "slf": (fit_affine, cfg.min_samples_linear),
+        "ssf": (lambda obs: fit_planar(obs, cond_max=cfg.cond_max), cfg.min_samples_planar),
+        "median": (fit_median_ratio, 1),
+        "global-linear": (fit_affine, None),
+        "global-median": (fit_median_ratio, None),
+    }
+    if cfg.method.startswith("global-"):
+        chain = (cfg.method,)
+    elif cfg.method in cfg.fallback_chain:
+        chain = cfg.fallback_chain[cfg.fallback_chain.index(cfg.method):]
+    else:
+        chain = (cfg.method,) + cfg.fallback_chain
+
+    chosen = []
+    for region in range(len(neighbors)):
+        params, last_error = None, None
+        for entry in chain:
+            fit, minimum = fits[entry]
+            if minimum is None:
+                try:
+                    params = replace(fit(paired), provenance="global", hop=0)
+                except DegeneracyError as err:
+                    last_error = err
+                    continue
+                break
+            included, frontier, hop = [region], [region], 0
+            accumulated = list(own[region])
+            while True:
+                obs = obs_for(accumulated)
+                if len(obs) >= minimum:
+                    try:
+                        params = fit(obs)
+                        break
+                    except DegeneracyError:
+                        pass
+                if cfg.max_hops is not None and hop >= cfg.max_hops:
+                    break
+                ring = sorted({n for r in frontier for n in neighbors[r]} - set(included))
+                if not ring:
+                    break
+                included += ring
+                accumulated += [i for r in ring for i in own[r]]
+                frontier, hop = ring, hop + 1
+            if params is not None:
+                params = replace(params, provenance="own" if hop == 0 else "expanded", hop=hop)
+                break
+        if params is None:
+            if last_error is not None:
+                raise last_error
+            raise InsufficientSamples(
+                f"region {region}: fallback chain {chain} exhausted without a usable fit"
+            )
+        chosen.append(params)
+
+    out = apply_fit(working, LabelGrid(labels), chosen, cfg.clamp)
+    reports = []
+    for region, params in enumerate(chosen):
+        obs = obs_for(own[region])
+        rmse = math.nan
+        if len(obs):
+            rmse = float(np.sqrt(np.mean((out.values[obs.rows, obs.cols] - obs.z1) ** 2)))
+        reports.append(RegionReport(region, params, params.hop, params.support, rmse))
+    return out, reports
+
+
+def outcome(run, *args):
+    """Output bytes and reports of one run, or its error's type and message."""
+    try:
+        out, reports = run(*args)
+    except DepthScaleError as err:
+        return type(err).__name__, str(err)
+    return (
+        out.values.tobytes(),
+        out.valid.tobytes(),
+        [r.params for r in reports],
+        repr([r.as_dict() for r in reports]),
+    )
+
+
+@st.composite
+def fit_stage_inputs(draw):
+    """Fragmented masks, samples partly on invalid (inf/nan) pixels, any config."""
+    labels = draw(label_grids(max_side=14, min_values=2))
+    h, w = labels.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    valid = rng.random((h, w)) > draw(st.sampled_from([0.0, 0.2, 0.5]))
+    values = rng.uniform(0.5, 5.0, (h, w))
+    values[~valid] = draw(st.sampled_from([np.inf, np.nan, 0.0]))
+    if draw(st.booleans()):
+        values[: h // 2 + 1][valid[: h // 2 + 1]] = 2.0  # constant z2 over a band
+    n = int(rng.integers(1, min(14, h * w) + 1))
+    picked = rng.choice(h * w, size=n, replace=False)
+    samples = SparseSamples(picked // w, picked % w, rng.uniform(0.5, 8.0, n))
+    cfg = PipelineConfig(
+        method=draw(st.sampled_from(["slf", "ssf", "median", "global-linear", "global-median"])),
+        connectivity=draw(st.sampled_from([4, 8])),
+        max_hops=draw(st.sampled_from([None, 0, 1, 3])),
+        merge_same_label=draw(st.booleans()),
+        cond_max=draw(st.sampled_from([1e8, 10.0])),
+        clamp=WIDE_CLAMP,
+    )
+    return DepthGrid(values, valid), LabelGrid(labels), samples, cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(fit_stage_inputs())
+def test_fit_stage_matches_reference(inputs):
+    want = outcome(reference_region_fits, *inputs)
+    assert outcome(rescale, *inputs) == want

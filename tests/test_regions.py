@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from depthscale.errors import InputError
-from depthscale.grids import LabelGrid, SparseSamples, canonicalize_labels
+from depthscale.fitting import pair_observations
+from depthscale.grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 from depthscale.regions import (
     build_region_graph,
     expand_until,
@@ -86,8 +87,18 @@ def test_non_canonical_mask_rejected():
 def test_sample_assignment():
     samples = SparseSamples.from_points([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)])
     g = graph_of([[0, 1], [0, 1]], samples)
-    assert list(g.regions[0].sample_indices) == [0]
-    assert list(g.regions[1].sample_indices) == [1, 2]
+    assert [list(group) for group in g.samples] == [[0], [1, 2]]
+
+
+def test_sample_groups_index_the_samples_given():
+    # the first sample sits on an invalid pixel, so pairing drops it
+    mask = LabelGrid(np.array([[0, 1], [0, 1]]))
+    grid = DepthGrid(np.ones((2, 2)), np.array([[False, True], [True, True]]))
+    samples = SparseSamples.from_points([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)])
+    paired = build_region_graph(mask, pair_observations(grid, samples))
+    assert [list(group) for group in paired.samples] == [[1], [0]]
+    raw = build_region_graph(mask, samples)
+    assert [list(group) for group in raw.samples] == [[0, 2], [1]]
 
 
 def test_split_disconnected_label():
@@ -204,7 +215,8 @@ def test_partition_and_symmetry(h, w, seed):
     g = build_region_graph(mask, NO_SAMPLES)
     # one region per label of the grid, and every region id labels some pixel
     assert g.n_regions == mask.labels.max() + 1
-    assert np.array_equal(np.unique(mask.labels), [region.id for region in g.regions])
+    assert np.array_equal(np.unique(mask.labels), range(g.n_regions))
+    assert len(g.samples) == g.n_regions
     # adjacency is exactly the 4-neighbor label changes, both ways round
     lab = mask.labels
     left = np.r_[lab[:, :-1].ravel(), lab[:-1, :].ravel()]
