@@ -271,15 +271,15 @@ def apply_fit(
         raise InputError(f"label {mask.labels.max()} has no fit parameters ({len(params)} given)")
     alpha, beta, gamma, delta = np.array([_planar_terms(p) for p in params], dtype=np.float64).T
     x, y = normalized_coords(*np.ogrid[: d_rel.height, : d_rel.width], *d_rel.shape)
-    valid = d_rel.valid
-    # One full-frame term at a time; invalid pixels enter as 0, not inf or nan.
+    # One full-frame term at a time.
     out = alpha[mask.labels]
-    out *= np.where(valid, d_rel.values, 0.0)
+    out *= d_rel.values
     term = np.empty_like(out)
-    for coeff, coord in ((beta, x), (gamma, y), (delta, 1.0)):
+    for coeff, coord in ((beta, x), (gamma, y)):
         np.take(coeff, mask.labels, out=term)
         term *= coord
         out += term
+    np.take(delta, mask.labels, out=term)
+    out += term
     np.clip(out, lo, hi, out=out)
-    out[~valid] = 0.0
-    return DepthGrid(out, valid)
+    return DepthGrid(out, d_rel.valid)

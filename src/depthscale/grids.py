@@ -3,8 +3,9 @@
 Conventions shared by the whole package:
 
 - Row-major indexing with the origin at the top-left pixel.
-- Invalid pixels are tracked with an explicit boolean mask rather than
-  a sentinel value; file loaders map stored zeros to ``valid=False``.
+- Invalid pixels are tracked with an explicit boolean mask, and a
+  `DepthGrid` holds +0.0 at each of them, so whole-frame arithmetic on
+  its values needs no mask; file loaders map stored zeros to invalid.
 - Arrays are copied on construction and marked read-only, so every
   instance is immutable and safe to share across threads.
 """
@@ -30,23 +31,22 @@ class DepthGrid:
 
     Values are meters for metric and ground-truth grids (strictly
     positive at valid pixels there) and unitless for relative or
-    normalized grids. Values at invalid pixels carry no meaning.
+    normalized grids. Values are finite, and exactly +0.0 at invalid pixels.
     """
 
     values: np.ndarray
     valid: np.ndarray | None = None
 
     def __post_init__(self):
-        values = _readonly(self.values, np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise InputError(f"depth grid must be 2-D and non-empty, got shape {values.shape}")
-        if self.valid is None:
-            valid = _readonly(np.ones(values.shape, dtype=bool), bool)
-        else:
-            valid = _readonly(self.valid, bool)
-            if valid.shape != values.shape:
-                raise InputError(f"validity mask shape {valid.shape} != values shape {values.shape}")
-        if not np.isfinite(values[valid]).all():
+        valid = _readonly(np.ones(values.shape, bool) if self.valid is None else self.valid, bool)
+        if valid.shape != values.shape:
+            raise InputError(f"validity mask shape {valid.shape} != values shape {values.shape}")
+        values = np.where(valid, values, 0.0)  # the grid's copy; the one writer of invalid pixels
+        values.setflags(write=False)
+        if not np.isfinite(values).all():
             raise InputError("non-finite depth value at a valid pixel")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "valid", valid)

@@ -25,6 +25,7 @@ import math
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +77,7 @@ def _grid_from_values(values: np.ndarray, path) -> DepthGrid:
             f"warning: {path}: {int(values.size - finite.sum())} non-finite depths marked invalid",
             file=sys.stderr,
         )
-        values = np.where(finite, values, 0.0)
-    return DepthGrid(values, values != 0.0)
+    return DepthGrid(values, finite & (values != 0.0))
 
 
 def _load_pfm(f) -> np.ndarray:
@@ -104,9 +104,8 @@ def _load_pfm(f) -> np.ndarray:
 
 
 def _save_pfm(grid: DepthGrid, f) -> None:
-    values = np.where(grid.valid, grid.values, 0.0).astype(np.float32)
     f.write(f"Pf\n{grid.width} {grid.height}\n-1.0\n".encode("ascii"))
-    f.write(np.flipud(values).astype("<f4").tobytes())
+    f.write(np.flipud(grid.values).astype("<f4").tobytes())
 
 
 def _load_pgm_raw(f) -> np.ndarray:
@@ -150,13 +149,13 @@ def _load_dpg(f) -> np.ndarray:
     payload = f.read(height * width * 8)
     if len(payload) != height * width * 8:
         raise CorruptHeader("truncated raw-grid payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(height, width).copy()
+    return np.frombuffer(payload, dtype="<f8").reshape(height, width)
 
 
 def _save_dpg(grid: DepthGrid, f) -> None:
     f.write(DPG_MAGIC)
     f.write(struct.pack("<II", grid.height, grid.width))
-    f.write(np.where(grid.valid, grid.values, 0.0).astype("<f8").tobytes())
+    f.write(grid.values.astype("<f8").tobytes())
 
 
 def _open(path) -> object:
@@ -195,8 +194,8 @@ def load_depth(path, pgm_scale: float | None = None) -> DepthGrid:
             scale = pgm_scale if pgm_scale is not None else _sidecar_scale(path)
             if scale is None:
                 scale = DEFAULT_PGM_SCALE
-            if scale <= 0:
-                raise InputError("PGM depth scale must be positive")
+            if not (isinstance(scale, Real) and 0 < scale < math.inf):
+                raise InputError(f"PGM depth scale must be finite and > 0, got {scale!r}")
             values = raw.astype(np.float64) / scale
         elif magic == DPG_MAGIC:
             values = _load_dpg(f)

@@ -54,9 +54,7 @@ def invert_depth(grid: DepthGrid, epsilon: float = DEFAULT_INVERT_EPSILON) -> De
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    values = grid.values.copy()
-    values[grid.valid] = 1.0 / np.maximum(values[grid.valid], epsilon)
-    return DepthGrid(values, grid.valid)
+    return DepthGrid(1.0 / np.maximum(grid.values, epsilon), grid.valid)
 
 
 def affine_invariant_normalize(
@@ -67,8 +65,7 @@ def affine_invariant_normalize(
     In the default mode the translation is the (lower) median over
     valid pixels and the scale is the mean absolute deviation from it.
     The alternative "mean-std" mode uses mean and population standard
-    deviation instead. Invalid pixels are left untouched and the mask
-    is unchanged.
+    deviation instead. The mask is unchanged.
 
     Raises DegenerateGrid for constant maps or fewer than 2 valid
     pixels, where the scale would be zero.
@@ -86,6 +83,4 @@ def affine_invariant_normalize(
         s = float(np.std(v))
     if s <= 0.0:
         raise DegenerateGrid("constant depth map has zero spread")
-    values = grid.values.copy()
-    values[grid.valid] = (v - t) / s
-    return DepthGrid(values, grid.valid), NormalizationStats(t=t, s=s)
+    return DepthGrid((grid.values - t) / s, grid.valid), NormalizationStats(t=t, s=s)

@@ -37,6 +37,7 @@ from .fitting import (
     PROV_GLOBAL,
     PROV_OWN,
     DEFAULT_COND_MAX,
+    MIN_SUPPORT,
     FitParams,
     PairedObservations,
     apply_fit,
@@ -72,6 +73,10 @@ VOID_CLAMP = (0.2, 5.0)
 _NORMALIZING_METHODS = (METHOD_SLF, METHOD_SSF, METHOD_GLOBAL_LINEAR)
 
 
+def _is_int_at_least(value, floor: int) -> bool:
+    return type(value) is not bool and isinstance(value, Integral) and value >= floor
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything that parameterizes one rescaling run."""
@@ -93,12 +98,12 @@ class PipelineConfig:
         object.__setattr__(self, "fallback_chain", tuple(self.fallback_chain))
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.min_samples_linear < 2:
-            raise InputError("min_samples_linear must be >= 2 (algebraic minimum)")
-        if self.min_samples_planar < 4:
-            raise InputError("min_samples_planar must be >= 4 (algebraic minimum)")
+        for name, kind in (("min_samples_linear", KIND_AFFINE), ("min_samples_planar", KIND_PLANAR)):
+            value, floor = getattr(self, name), MIN_SUPPORT[kind]
+            if not _is_int_at_least(value, floor):
+                raise InputError(f"{name} must be an integer >= {floor}, got {value!r}")
         hops = self.max_hops
-        if hops is not None and (type(hops) is bool or not isinstance(hops, Integral) or hops < 0):
+        if hops is not None and not _is_int_at_least(hops, 0):
             raise InputError(f"max_hops must be None or an integer >= 0, got {hops!r}")
         if not (isinstance(self.cond_max, Real) and 0 < self.cond_max < math.inf):
             raise InputError(f"cond_max must be finite and > 0, got {self.cond_max!r}")
@@ -126,7 +131,7 @@ class PipelineConfig:
             return self.min_samples_linear
         if kind == KIND_PLANAR:
             return self.min_samples_planar
-        return 1
+        return MIN_SUPPORT[kind]
 
 
 @dataclass(frozen=True)

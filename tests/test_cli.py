@@ -434,3 +434,56 @@ def test_out_of_range_max_hops_and_cond_max_exit_2(tmp_path, sparse_scene, capsy
     assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
     assert "cond_max" in capsys.readouterr().err
     assert not (tmp_path / "metric.dpg").exists()
+
+
+def test_non_finite_pgm_scale_exits_2(tmp_path, sparse_scene, capsys):
+    rel, _, _ = sparse_scene
+    stored = np.round(rel.values * 1000.0).astype(">u2")
+    (tmp_path / "rel.pgm").write_bytes(b"P5\n80 60\n65535\n" + stored.tobytes())
+    flags = [
+        "rescale",
+        "--depth", str(tmp_path / "rel.pgm"),
+        "--mask", str(tmp_path / "mask.pgm"),
+        "--samples", str(tmp_path / "samples.csv"),
+        "--already-depth",
+        "--out", str(tmp_path / "metric.dpg"),
+    ]
+    evaluate = ["evaluate", "--pred", str(tmp_path / "rel.pgm"), "--gt", str(tmp_path / "rel.pgm")]
+    for scale in ("nan", "inf"):
+        assert main([*flags, "--pgm-scale", scale]) == 2
+        assert "PGM depth scale" in capsys.readouterr().err
+        assert main([*evaluate, "--pgm-scale", scale]) == 2
+        assert "PGM depth scale" in capsys.readouterr().err
+    (tmp_path / "rel.pgm.scale").write_text("nan\n")
+    assert main(flags) == 2
+    assert "PGM depth scale" in capsys.readouterr().err
+    (tmp_path / "rel.pgm.scale").unlink()
+    assert main([*flags, "--write-manifest", str(tmp_path / "run.json")]) == 0
+    (tmp_path / "metric.dpg").unlink()
+    doc = json.loads((tmp_path / "run.json").read_text())
+    doc["pgm_scale"] = float("nan")
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
+    assert "PGM depth scale" in capsys.readouterr().err
+    assert not (tmp_path / "metric.dpg").exists()
+
+
+def test_fractional_sample_minimum_in_manifest_exits_2(tmp_path, sparse_scene, capsys):
+    flags = [
+        "rescale",
+        "--depth", str(tmp_path / "rel.dpg"),
+        "--mask", str(tmp_path / "mask.pgm"),
+        "--samples", str(tmp_path / "samples.csv"),
+        "--already-depth",
+        "--out", str(tmp_path / "metric.dpg"),
+        "--write-manifest", str(tmp_path / "run.json"),
+    ]
+    assert main(flags) == 0
+    (tmp_path / "metric.dpg").unlink()
+    doc = json.loads((tmp_path / "run.json").read_text())
+    for value in (2.5, "3"):
+        doc["min_samples_linear"] = value
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
+        assert "min_samples_linear" in capsys.readouterr().err
+    assert not (tmp_path / "metric.dpg").exists()

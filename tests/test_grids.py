@@ -69,6 +69,25 @@ def test_depth_grid_rejects_nonfinite_at_valid():
     assert g.n_valid == 1
 
 
+@pytest.mark.parametrize("junk", [np.inf, -np.inf, np.nan, -0.0, 999.0])
+def test_depth_grid_stores_positive_zero_at_invalid_pixels(junk):
+    values = np.array([[1.5, junk], [junk, -0.0]])
+    given = values.copy()
+    g = DepthGrid(values, np.array([[True, False], [False, True]]))
+    # +0.0 at invalid pixels; valid ones, -0.0 included, keep their bits
+    assert g.values.tobytes() == np.array([[1.5, 0.0], [0.0, -0.0]]).tobytes()
+    assert not g.values.flags.writeable
+    assert values.tobytes() == given.tobytes()
+    assert values.flags.writeable
+
+
+def test_depth_grid_copies_a_read_only_input():
+    values = np.frombuffer(np.array([2.0, np.inf]).tobytes()).reshape(1, 2)
+    g = DepthGrid(values, np.array([[True, False]]))
+    assert g.values.tolist() == [[2.0, 0.0]]
+    assert not np.shares_memory(g.values, values)
+
+
 def test_depth_grid_rejects_bad_shapes():
     with pytest.raises(InputError):
         DepthGrid(np.zeros(4))

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from test_normalize import grids_with_junk
 
 from depthscale.errors import (
     CorruptHeader,
@@ -106,6 +109,37 @@ def test_dpg_round_trip_is_lossless(tmp_path):
     back = io.load_depth(path)
     assert np.array_equal(back.values[back.valid], grid.values[valid])
     assert np.array_equal(back.valid, valid)
+
+
+def reference_depth_bytes(values, valid, suffix):
+    """A depth file as written by masking the values at save time."""
+    h, w = values.shape
+    stored = np.where(valid, values, 0.0)
+    if suffix == ".pfm":
+        stored = stored.astype(np.float32)
+        return f"Pf\n{w} {h}\n-1.0\n".encode("ascii") + np.flipud(stored).astype("<f4").tobytes()
+    return io.DPG_MAGIC + struct.pack("<II", h, w) + stored.astype("<f8").tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids_with_junk())
+def test_saved_bytes_match_save_time_masking(tmp_path_factory, case):
+    values, valid = case
+    path = tmp_path_factory.mktemp("save")
+    for suffix in (".pfm", ".dpg"):
+        io.save_depth(DepthGrid(values, valid), path / f"d{suffix}")
+        assert (path / f"d{suffix}").read_bytes() == reference_depth_bytes(values, valid, suffix)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_pgm_scale_must_be_finite_and_positive(tmp_path, scale):
+    path = tmp_path / "d.pgm"
+    path.write_bytes(b"P5\n1 1\n65535\n" + np.array([[200]], dtype=">u2").tobytes())
+    with pytest.raises(InputError, match="PGM depth scale"):
+        io.load_depth(path, pgm_scale=scale)
+    (tmp_path / "d.pgm.scale").write_text(f"{scale}\n")
+    with pytest.raises(InputError, match="PGM depth scale"):
+        io.load_depth(path)
 
 
 def test_dpg_truncated(tmp_path):

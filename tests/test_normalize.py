@@ -6,10 +6,64 @@ from hypothesis import strategies as st
 from depthscale.errors import DegenerateGrid
 from depthscale.grids import DepthGrid
 from depthscale.normalize import (
+    MEAN_STD,
+    MEDIAN_MAD,
     affine_invariant_normalize,
     invert_depth,
     lower_median,
 )
+
+# Values the caller may leave at invalid pixels; a grid reads all as +0.0.
+JUNK = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, -3.0, 7.0, 999.0])
+
+
+def grids_with_junk():
+    """(values, valid) pairs up to 6x6, with JUNK at the invalid pixels.
+
+    Valid values mix zeros, -0.0, values below the inversion epsilon and
+    ordinary depths of either sign.
+    """
+    return st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1)).map(
+        _grid_with_junk
+    )
+
+
+def _grid_with_junk(args):
+    h, w, seed = args
+    rng = np.random.default_rng(seed)
+    values = rng.choice([0.0, -0.0, 1e-9, 0.5, -2.0], size=(h, w))
+    values = np.where(rng.random((h, w)) < 0.6, rng.uniform(-5.0, 5.0, (h, w)), values)
+    valid = rng.random((h, w)) < 0.7
+    values[~valid] = rng.choice(JUNK, size=int((~valid).sum()))
+    return values, valid
+
+
+def reference_invert(values, valid, epsilon=1e-6):
+    """Inversion by gather and scatter over the valid pixels only."""
+    out = values.copy()
+    out[valid] = 1.0 / np.maximum(values[valid], epsilon)
+    return out
+
+
+def reference_normalize(values, valid, mode):
+    """Normalization by gather and scatter over the valid pixels only."""
+    v = values[valid]
+    if mode == MEDIAN_MAD:
+        t = lower_median(v)
+        s = float(np.mean(np.abs(v - t)))
+    else:
+        t = float(np.mean(v))
+        s = float(np.std(v))
+    out = values.copy()
+    out[valid] = (v - t) / s
+    return out, t, s
+
+
+def assert_matches_at_valid(got, want, valid):
+    """Same bits at valid pixels, +0.0 at invalid ones, the same mask."""
+    assert np.array_equal(got.valid, valid)
+    assert got.values[valid].tobytes() == want[valid].tobytes()
+    assert got.values[~valid].tobytes() == np.zeros((~valid).sum()).tobytes()
 
 
 def grid(values, valid=None):
@@ -61,8 +115,22 @@ def test_normalize_ignores_invalid_pixels():
     valid = np.array([[True, True, True, False]])
     out, stats = affine_invariant_normalize(DepthGrid(values, valid))
     assert stats.t == 2.0
-    assert out.values[0, 3] == 999.0  # untouched
+    assert out.values[0, 3] == 0.0
     assert np.array_equal(out.valid, valid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_with_junk(), st.sampled_from([MEDIAN_MAD, MEAN_STD]))
+def test_whole_frame_forms_match_gather_scatter_references(case, mode):
+    values, valid = case
+    got = invert_depth(DepthGrid(values, valid))
+    assert_matches_at_valid(got, reference_invert(values, valid), valid)
+    if valid.sum() < 2 or np.ptp(values[valid]) == 0.0:
+        return  # degenerate, covered by the DegenerateGrid tests
+    got, stats = affine_invariant_normalize(DepthGrid(values, valid), mode)
+    want, t, s = reference_normalize(values, valid, mode)
+    assert (stats.t, stats.s) == (t, s)
+    assert_matches_at_valid(got, want, valid)
 
 
 def test_mean_std_mode():

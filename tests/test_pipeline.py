@@ -284,6 +284,27 @@ def test_config_rejects_out_of_range_hops_and_condition(field, value):
         PipelineConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("min_samples_linear", 2.5),
+        ("min_samples_linear", True),
+        ("min_samples_linear", "3"),
+        ("min_samples_linear", 1),
+        ("min_samples_planar", 4.0),
+        ("min_samples_planar", 3),
+    ],
+)
+def test_config_requires_integer_sample_minima(field, value):
+    with pytest.raises(InputError, match=field):
+        PipelineConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integer_sample_minima():
+    cfg = PipelineConfig(min_samples_linear=np.int64(3), min_samples_planar=np.int32(5))
+    assert [cfg.minimum_for(kind) for kind in ("affine", "planar", "median")] == [3, 5, 1]
+
+
 def reference_region_fits(d_in, mask, samples, cfg):
     """The fit stage as a slow, obvious oracle for `rescale`.
 
