@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import DegeneracyError, InputError
 from .grids import SparseSamples
 from .metrics import evaluate
 from .normalize import NORMALIZATION_MODES, invert_depth
-from .pipeline import METHODS, NYU_CLAMP, PipelineConfig, rescale
+from .pipeline import GLOBAL_METHODS, METHODS, NYU_CLAMP, PipelineConfig, rescale
 from . import io
 from . import synth
 
@@ -70,34 +70,42 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="cap on neighbor-expansion rings (default: unlimited)")
 
 
+def _add_sample_flags(parser: argparse.ArgumentParser, gt_required: bool) -> None:
+    parser.add_argument("--gt", dest="gt_path", required=gt_required,
+                        help="ground-truth grid to sample measurements from")
+    parser.add_argument("--n-samples", type=int, default=None, help="uniform sample budget from --gt")
+    parser.add_argument("--beams", type=int, default=None, help="scanline beams sampled from --gt")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--noise-sigma", type=float, default=0.0,
+                        help="gaussian noise added to drawn sample depths (meters)")
+
+
+def _fields_from(args, cls) -> dict:
+    """The parsed flags whose destination is a field of dataclass `cls`, by field name."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _config_from_args(args, method: str) -> PipelineConfig:
     """The one place a PipelineConfig is built from command-line flags."""
-    return PipelineConfig(
-        method=method,
-        min_samples_linear=args.min_samples_linear,
-        min_samples_planar=args.min_samples_planar,
-        max_hops=args.max_hops,
-        clamp=args.clamp,
-        connectivity=args.connectivity,
-        normalization=args.normalization,
-        merge_same_label=args.merge_same_label,
-    )
+    return PipelineConfig(**{**_fields_from(args, PipelineConfig), "method": method})
 
 
-def _draw_samples(gt_path, n_samples, beams, seed, noise_sigma) -> SparseSamples:
-    gt = io.load_depth(gt_path)
-    if beams is not None:
-        return synth.sample_beams(gt, beams, seed=seed, noise_sigma=noise_sigma)
-    if n_samples is None:
-        raise InputError("need --n-samples or --beams when sampling from ground truth")
-    return synth.sample_uniform(gt, n_samples, seed, noise_sigma=noise_sigma)
+def _draw_samples(source) -> SparseSamples:
+    """Samples drawn as the sampling fields of a RunManifest or of parsed flags say."""
+    if source.gt_path is None or (source.n_samples is None and source.beams is None):
+        raise InputError("no sample source: need samples_path (--samples), or gt_path (--gt) "
+                         "with n_samples (--n-samples) or beams (--beams)")
+    gt = io.load_depth(source.gt_path)
+    if source.beams is not None:
+        return synth.sample_beams(gt, source.beams, seed=source.seed, noise_sigma=source.noise_sigma)
+    return synth.sample_uniform(gt, source.n_samples, source.seed, noise_sigma=source.noise_sigma)
 
 
 def _rebase_paths(man: io.RunManifest, rebase) -> io.RunManifest:
     """`man` with each relative path p replaced by `rebase(p)`."""
-    fields = ("depth_path", "mask_path", "samples_path", "gt_path", "out_depth", "out_report")
     return replace(man, **{
-        f: rebase(p) for f in fields if (p := getattr(man, f)) is not None and not os.path.isabs(p)
+        f: rebase(p) for f in io.PATH_FIELDS
+        if (p := getattr(man, f)) is not None and not os.path.isabs(p)
     })
 
 
@@ -107,33 +115,19 @@ def cmd_rescale(args) -> int:
         home = Path(args.manifest).parent
         man = _rebase_paths(io.load_manifest(args.manifest), lambda p: str(home / p))
     else:
-        for flag, value in (("--depth", args.depth), ("--mask", args.mask), ("--out", args.out)):
-            if value is None:
-                raise InputError(f"{flag} is required without --manifest")
-        if args.samples is None and args.gt is None:
-            raise InputError("provide --samples, or --gt with --n-samples/--beams")
-        man = io.RunManifest(
-            depth_path=args.depth,
-            mask_path=args.mask,
-            out_depth=args.out,
-            out_report=args.report or args.out + ".regions.json",
-            config=_config_from_args(args, args.method),
-            samples_path=args.samples,
-            gt_path=args.gt,
-            n_samples=args.n_samples,
-            beams=args.beams,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-            already_depth=args.already_depth,
-            pgm_scale=args.pgm_scale,
-        )
+        # RunManifest rejects a missing --out before it reads this default
+        man = io.RunManifest(**{
+            **_fields_from(args, io.RunManifest),
+            "config": _config_from_args(args, args.method),
+            "out_report": args.out_report or f"{args.out_depth}.regions.json",
+        })
 
     depth = io.load_depth(man.depth_path, pgm_scale=man.pgm_scale)
     mask = io.load_mask(man.mask_path)
     if man.samples_path is not None:
         samples = io.load_samples(man.samples_path)
     else:
-        samples = _draw_samples(man.gt_path, man.n_samples, man.beams, man.seed, man.noise_sigma)
+        samples = _draw_samples(man)
     relative = depth if man.already_depth else invert_depth(depth)
     metric, reports = rescale(relative, mask, samples, man.config)
     io.save_depth(metric, man.out_depth)
@@ -173,7 +167,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    samples = _draw_samples(args.gt, args.n_samples, args.beams, args.seed, args.noise_sigma)
+    samples = _draw_samples(args)
     io.save_samples(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
@@ -198,15 +192,11 @@ def _load_scene_dir(scene_dir: Path):
 
 def cmd_bench(args) -> int:
     scene_dirs = _find_scene_dirs(Path(args.scene_dir))
-    region_aware = {"slf": True, "ssf": True, "median": True,
-                    "global-linear": False, "global-median": False}
     rows = []
     for scene_index, scene_dir in enumerate(scene_dirs):
         gt, rel, mask = _load_scene_dir(scene_dir)
         image_id = scene_dir.name
         for method in args.methods:
-            if method not in METHODS:
-                raise InputError(f"unknown method {method!r}; choose from {METHODS}")
             cfg = _config_from_args(args, method)
             for budget in args.budgets:
                 for seed in args.seeds:
@@ -216,7 +206,7 @@ def cmd_bench(args) -> int:
                     metric, _ = rescale(rel, mask, samples, cfg)
                     report = evaluate(metric, gt, args.clamp)
                     rows.append(
-                        report.row(image_id, method, region_aware[method], budget, seed)
+                        report.row(image_id, method, method not in GLOBAL_METHODS, budget, seed)
                     )
         for beams in args.beams:
             cfg = _config_from_args(args, "global-linear")
@@ -243,20 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rescale", help="rescale a relative depth map to metric depth")
     p.add_argument("--manifest", help="run manifest JSON; overrides all other flags")
-    p.add_argument("--depth", help="model depth map (PFM/PGM/DPG)")
-    p.add_argument("--mask", help="segmentation mask (PGM)")
-    p.add_argument("--samples", help="sparse measurements CSV")
-    p.add_argument("--gt", help="ground-truth grid to sample measurements from")
-    p.add_argument("--n-samples", type=int, default=None, help="uniform sample budget from --gt")
-    p.add_argument("--beams", type=int, default=None, help="scanline beams sampled from --gt")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.0,
-                   help="gaussian noise added to drawn sample depths (meters)")
+    # Each flag that fills a RunManifest field stores under the field's name.
+    p.add_argument("--depth", dest="depth_path", help="model depth map (PFM/PGM/DPG)")
+    p.add_argument("--mask", dest="mask_path", help="segmentation mask (PGM)")
+    p.add_argument("--samples", dest="samples_path", help="sparse measurements CSV")
+    _add_sample_flags(p, gt_required=False)
     p.add_argument("--method", choices=METHODS, default="slf")
     p.add_argument("--already-depth", action="store_true",
                    help="input is relative depth already; skip inverse-depth conversion")
-    p.add_argument("--out", help="output metric depth path (.dpg or .pfm)")
-    p.add_argument("--report", help="region report JSON path (default: <out>.regions.json)")
+    p.add_argument("--out", dest="out_depth", help="output metric depth path (.dpg or .pfm)")
+    p.add_argument("--report", dest="out_report", help="region report JSON path (default: <out>.regions.json)")
     p.add_argument("--write-manifest", help="also write the equivalent run manifest here")
     p.add_argument("--pgm-scale", type=float, default=None,
                    help="divisor for integer PGM depths (default: sidecar, then 1000)")
@@ -285,11 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sample", help="draw sparse measurements from a ground-truth grid")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--beams", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    _add_sample_flags(p, gt_required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

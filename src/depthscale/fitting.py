@@ -14,7 +14,7 @@ here is pure, so independent region fits may run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -62,17 +62,7 @@ class FitParams:
     hop: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "support": self.support,
-            "condition": self.condition,
-            "provenance": self.provenance,
-            "hop": self.hop,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -301,6 +301,9 @@ def save_region_reports(reports, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+PATH_FIELDS = ("depth_path", "mask_path", "out_depth", "out_report", "samples_path", "gt_path")
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to replay one rescaling run bit-exactly.
@@ -309,7 +312,8 @@ class RunManifest:
     the config's fields beside the others. Samples come either from
     `samples_path` or are drawn from `gt_path` with `n_samples` or
     `beams` under `seed`. Relative paths are resolved against the
-    manifest's own directory.
+    manifest's own directory. A mistyped path or `already_depth` raises
+    InputError naming the field; sampling fields are checked where used.
     """
 
     depth_path: str
@@ -326,6 +330,16 @@ class RunManifest:
     already_depth: bool = False
     pgm_scale: float | None = None
     format_version: int = MANIFEST_VERSION
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name in PATH_FIELDS:
+                path = getattr(self, f.name)
+                # required paths have no default; optional ones default to None
+                if not (isinstance(path, str) or (path is None and f.default is None)):
+                    raise InputError(f"{f.name} must be a path string, got {path!r}")
+        if type(self.already_depth) is not bool:
+            raise InputError(f"already_depth must be true or false, got {self.already_depth!r}")
 
     def to_json(self) -> str:
         doc = asdict(self)

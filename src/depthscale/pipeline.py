@@ -60,6 +60,7 @@ METHODS = (METHOD_SLF, METHOD_SSF, METHOD_MEDIAN, METHOD_GLOBAL_LINEAR, METHOD_G
 # Region-level fit kind behind each method name.
 _REGION_KIND = {METHOD_SLF: KIND_AFFINE, METHOD_SSF: KIND_PLANAR, METHOD_MEDIAN: KIND_MEDIAN}
 _GLOBAL_KIND = {METHOD_GLOBAL_LINEAR: KIND_AFFINE, METHOD_GLOBAL_MEDIAN: KIND_MEDIAN}
+GLOBAL_METHODS = tuple(_GLOBAL_KIND)
 
 # Gracefully reduce model complexity as data thins; the terminal global
 # fit guarantees a depth map whenever any global fit is possible.
@@ -117,11 +118,7 @@ class PipelineConfig:
         for entry in self.fallback_chain:
             if entry not in METHODS:
                 raise InputError(f"unknown fallback chain entry {entry!r}")
-        if not self.fallback_chain or self.fallback_chain[-1] not in (
-            METHOD_MEDIAN,
-            METHOD_GLOBAL_LINEAR,
-            METHOD_GLOBAL_MEDIAN,
-        ):
+        if not self.fallback_chain or self.fallback_chain[-1] not in (METHOD_MEDIAN, *GLOBAL_METHODS):
             raise InputError(
                 "fallback chain must end in a method needing <= 1 sample or a global fit"
             )

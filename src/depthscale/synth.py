@@ -18,13 +18,16 @@ per purpose, so identical specs yield identical scenes and samples.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, InvalidSpec, TooManyRequested
 from .grids import DepthGrid, LabelGrid, SparseSamples
+from .pipeline import _is_int_at_least
 from .regions import split_into_components
 
 LAYOUT_GRID = "grid"
@@ -46,10 +49,20 @@ MIN_SAMPLE_DEPTH = 1e-6
 
 
 def _rng(seed, tag: int) -> np.random.Generator:
-    if seed is None:
-        raise InputError("a seed is required for reproducible sampling")
-    key = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
+    key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    if not all(_is_int_at_least(k, 0) for k in key):
+        raise InputError(f"seed must be an integer >= 0 or a sequence of them, got {seed!r}")
     return np.random.default_rng([tag] + [int(k) for k in key])
+
+
+def _add_noise(depths: np.ndarray, noise_sigma, seed) -> np.ndarray:
+    """`depths` plus seeded Gaussian noise of `noise_sigma` meters, kept positive."""
+    if not (isinstance(noise_sigma, Real) and 0 <= noise_sigma < math.inf):
+        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+    if noise_sigma == 0:
+        return depths
+    noise = _rng(seed, _TAG_NOISE).normal(0.0, noise_sigma, size=depths.size)
+    return np.maximum(depths + noise, MIN_SAMPLE_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -181,15 +194,16 @@ def _layout_labels(spec: SceneSpec) -> np.ndarray:
     rng = _rng(spec.seed, _TAG_LAYOUT)
     site_r = rng.uniform(0, h, spec.sites)
     site_c = rng.uniform(0, w, spec.sites)
-    rr = np.arange(h, dtype=np.float64)[:, None]
-    cc = np.arange(w, dtype=np.float64)[None, :]
-    best = np.full((h, w), np.inf)
-    labels = np.zeros((h, w), dtype=np.int32)
-    for i in range(spec.sites):
-        d2 = (rr - site_r[i]) ** 2 + (cc - site_c[i]) ** 2
-        closer = d2 < best  # strict: ties keep the lower site index
-        labels[closer] = i
-        best = np.where(closer, d2, best)
+    return _voronoi_labels(site_r, site_c, h, w)
+
+
+def _voronoi_labels(site_r: np.ndarray, site_c: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Each pixel's nearest site by squared distance; argmin gives ties to the lower index."""
+    d2_row = (np.arange(h, dtype=np.float64)[:, None] - site_r) ** 2
+    d2_col = (np.arange(w, dtype=np.float64)[:, None] - site_c) ** 2
+    labels = np.empty((h, w), dtype=np.int32)
+    for r in range(h):
+        labels[r] = np.argmin(d2_row[r] + d2_col, axis=1)
     return labels
 
 
@@ -238,19 +252,15 @@ def sample_uniform(
     may be an int or a sequence of ints; identical seeds reproduce the
     identical sample set.
     """
+    if not _is_int_at_least(n, 0):
+        raise InputError(f"n_samples must be an integer >= 0, got {n!r}")
     flat_valid = np.flatnonzero(gt.valid.ravel())
     if n > flat_valid.size:
         raise TooManyRequested(f"requested {n} samples but only {flat_valid.size} valid pixels")
-    if n < 0:
-        raise InputError("sample count must be non-negative")
     picked = _rng(seed, _TAG_COORDS).choice(flat_valid, size=n, replace=False)
     rows = picked // gt.width
     cols = picked % gt.width
-    depths = gt.values[rows, cols]
-    if noise_sigma > 0:
-        noise = _rng(seed, _TAG_NOISE).normal(0.0, noise_sigma, size=n)
-        depths = np.maximum(depths + noise, MIN_SAMPLE_DEPTH)
-    return SparseSamples(rows, cols, depths)
+    return SparseSamples(rows, cols, _add_noise(gt.values[rows, cols], noise_sigma, seed))
 
 
 def sample_beams(
@@ -263,8 +273,8 @@ def sample_beams(
     With beams == height every valid pixel is sampled.
     """
     height = gt.height
-    if beams < 1:
-        raise InputError("beam count must be >= 1")
+    if not _is_int_at_least(beams, 1):
+        raise InputError(f"beams must be an integer >= 1, got {beams!r}")
     if beams > height:
         raise TooManyRequested(f"{beams} beams exceed {height} image rows")
     beam_rows = (2 * np.arange(beams, dtype=np.int64) + 1) * height // (2 * beams)
@@ -272,11 +282,7 @@ def sample_beams(
     row_sel[beam_rows] = True
     keep = gt.valid & row_sel[:, None]
     rows, cols = np.nonzero(keep)
-    depths = gt.values[rows, cols]
-    if noise_sigma > 0:
-        noise = _rng(seed, _TAG_NOISE).normal(0.0, noise_sigma, size=depths.size)
-        depths = np.maximum(depths + noise, MIN_SAMPLE_DEPTH)
-    return SparseSamples(rows, cols, depths)
+    return SparseSamples(rows, cols, _add_noise(gt.values[rows, cols], noise_sigma, seed))
 
 
 def scene_samples(
@@ -411,21 +417,7 @@ def random_scene(
 
 
 def scene_to_json(spec: SceneSpec) -> str:
-    doc = {
-        "format_version": 1,
-        "height": spec.height,
-        "width": spec.width,
-        "layout": spec.layout,
-        "grid_rows": spec.grid_rows,
-        "grid_cols": spec.grid_cols,
-        "sites": spec.sites,
-        "seed": spec.seed,
-        "depth_range": list(spec.depth_range),
-        "regions": [
-            {"plane": asdict(r.plane), "distortion": asdict(r.distortion)} for r in spec.regions
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"format_version": 1, **asdict(spec)}, indent=2, sort_keys=True) + "\n"
 
 
 def scene_from_json(text: str) -> SceneSpec:

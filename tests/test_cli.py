@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from depthscale import io
-from depthscale.cli import main
+from depthscale.cli import build_parser, main
 from depthscale.grids import DepthGrid
 from depthscale.pipeline import PipelineConfig, rescale
 from depthscale.synth import generate_scene, random_scene, sample_uniform, save_scene_spec
@@ -487,3 +488,65 @@ def test_fractional_sample_minimum_in_manifest_exits_2(tmp_path, sparse_scene, c
         assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
         assert "min_samples_linear" in capsys.readouterr().err
     assert not (tmp_path / "metric.dpg").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("already_depth", "false"),
+        ("depth_path", 5),
+        ("out_depth", None),
+        ("gt_path", None),  # with samples_path also null: no sample source
+        ("n_samples", 2.5),
+        ("seed", "1"),
+        ("seed", 1.5),
+        ("noise_sigma", float("nan")),
+        ("noise_sigma", -1.0),
+    ],
+)
+def test_malformed_manifest_field_exits_2(tmp_path, scene_dir, capsys, field, value):
+    scene = scene_dir / "scene00"
+    flags = [
+        "rescale",
+        "--depth", str(scene / "rel.dpg"),
+        "--mask", str(scene / "mask.pgm"),
+        "--gt", str(scene / "gt.dpg"),
+        "--n-samples", "50",
+        "--already-depth",
+        "--out", str(tmp_path / "metric.dpg"),
+        "--write-manifest", str(tmp_path / "run.json"),
+    ]
+    assert main(flags) == 0
+    (tmp_path / "metric.dpg").unlink()
+    doc = json.loads((tmp_path / "run.json").read_text())
+    doc[field] = value
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "metric.dpg").exists()
+
+
+def test_sample_rejects_negative_noise_sigma(tmp_path, scene_dir, capsys):
+    gt = scene_dir / "scene00" / "gt.dpg"
+    for draw in (["--n-samples", "5"], ["--beams", "2"]):
+        argv = ["sample", "--gt", str(gt), *draw, "--noise-sigma", "-1", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert "noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_rescale_flags_store_under_record_field_names():
+    # cmd_rescale and cmd_bench fill RunManifest and PipelineConfig from the
+    # parsed flags by field name, so a flag stored under another name would
+    # silently drop its setting
+    parser = build_parser()
+    rescale_ns = vars(parser.parse_args(["rescale"]))
+    bench_ns = vars(parser.parse_args(["bench", "--scene-dir", "d", "--out", "o"]))
+    manifest_fields = {f.name for f in dataclasses.fields(io.RunManifest)}
+    config_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    without_flags = {"fallback_chain", "cond_max"}
+    assert manifest_fields - rescale_ns.keys() == {"config", "format_version"}
+    assert config_fields - rescale_ns.keys() == without_flags
+    assert config_fields - bench_ns.keys() == without_flags | {"method"}
+

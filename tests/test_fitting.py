@@ -153,6 +153,32 @@ def test_median_ratio_matches_sort_oracle():
         assert p.alpha == med(list(z1)) / med(list(z2))
 
 
+def reference_as_dict(p: FitParams) -> dict:
+    """The field-by-field FitParams.as_dict it replaced."""
+    return {
+        "kind": p.kind,
+        "alpha": p.alpha,
+        "beta": p.beta,
+        "gamma": p.gamma,
+        "delta": p.delta,
+        "support": p.support,
+        "condition": p.condition,
+        "provenance": p.provenance,
+        "hop": p.hop,
+    }
+
+
+def test_as_dict_matches_field_by_field_reference():
+    rng = np.random.default_rng(4)
+    z2, z1 = rng.uniform(0.2, 5.0, 6), rng.uniform(0.2, 5.0, 6)
+    x, y = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
+    obs = obs_from(z2, z1, x, y)
+    fits = [fit_affine(obs), fit_planar(obs), fit_median_ratio(obs)]
+    fits.append(FitParams("planar", 1.5, -0.25, 2.0, 3.0, 7, 12.5, "expanded", 2))
+    for p in fits:
+        assert list(p.as_dict().items()) == list(reference_as_dict(p).items())
+
+
 # ------------------------------------------------------------------ apply
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from depthscale.errors import InvalidSpec, TooManyRequested
+from depthscale.errors import InputError, InvalidSpec, TooManyRequested
 from depthscale.grids import DepthGrid
 from depthscale.metrics import evaluate
 from depthscale.pipeline import PipelineConfig, rescale
@@ -23,6 +24,7 @@ from depthscale.synth import (
     scene_samples,
     scene_to_json,
 )
+from depthscale.synth import _TAG_LAYOUT, _layout_labels, _rng, _voronoi_labels
 
 
 def flat_scene(depth=2.0, distortion=None):
@@ -205,6 +207,45 @@ def test_beams_skip_invalid_pixels():
     assert len(samples) == 15
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"n": 2.5}, "n_samples"),
+        ({"n": True}, "n_samples"),
+        ({"n": "3"}, "n_samples"),
+        ({"n": -1}, "n_samples"),
+        ({"beams": 2.0}, "beams"),
+        ({"beams": 0}, "beams"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": 1.7}, "seed"),
+        ({"seed": None}, "seed"),
+        ({"seed": [1, "2"]}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"noise_sigma": float("nan")}, "noise_sigma"),
+        ({"noise_sigma": -1.0}, "noise_sigma"),
+        ({"noise_sigma": float("inf")}, "noise_sigma"),
+    ],
+)
+def test_sampling_rejects_malformed_inputs(kwargs, field):
+    gt = DepthGrid(np.random.default_rng(0).uniform(1, 5, (8, 8)))
+    uniform = {"n": 5, "seed": 3, "noise_sigma": 0.1, **kwargs}
+    beams = {"beams": 2, "seed": 3, "noise_sigma": 0.1, **kwargs}
+    if "beams" not in kwargs:
+        with pytest.raises(InputError, match=field):
+            sample_uniform(gt, uniform.pop("n"), **uniform)
+    if "n" not in kwargs:
+        with pytest.raises(InputError, match=field):
+            sample_beams(gt, beams.pop("beams"), **beams)
+
+
+def test_sampling_accepts_numpy_integers():
+    gt = DepthGrid(np.random.default_rng(0).uniform(1, 5, (8, 8)))
+    plain = sample_uniform(gt, 5, [3, 1], noise_sigma=0.1)
+    typed = sample_uniform(gt, np.int64(5), [np.int32(3), np.uint8(1)], noise_sigma=np.float64(0.1))
+    assert plain.points == typed.points
+    assert sample_beams(gt, np.int16(2)).points == sample_beams(gt, 2).points
+
+
 def test_scene_samples_uses_per_region_sigma():
     noisy = Distortion("affine", a=1.0, b=0.0, noise_sigma=0.1)
     clean = Distortion("affine", a=1.0, b=0.0, noise_sigma=0.0)
@@ -234,6 +275,38 @@ def test_scene_spec_json_round_trip():
     spec = random_scene(7, height=30, width=40, region_range=(3, 6), min_region_pixels=5)
     again = scene_from_json(scene_to_json(spec))
     assert again == spec
+
+
+def reference_scene_to_json(spec: SceneSpec) -> str:
+    """The field-by-field writer scene_to_json replaced."""
+    doc = {
+        "format_version": 1,
+        "height": spec.height,
+        "width": spec.width,
+        "layout": spec.layout,
+        "grid_rows": spec.grid_rows,
+        "grid_cols": spec.grid_cols,
+        "sites": spec.sites,
+        "seed": spec.seed,
+        "depth_range": list(spec.depth_range),
+        "regions": [
+            {"plane": dataclasses.asdict(r.plane), "distortion": dataclasses.asdict(r.distortion)}
+            for r in spec.regions
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("layout", ["grid", "voronoi"])
+@pytest.mark.parametrize("distortion", ["affine", "planar", "nonlinear"])
+def test_scene_to_json_matches_field_by_field_writer(layout, distortion):
+    for seed in range(4):
+        spec = random_scene(
+            seed, height=24, width=32, region_range=(2, 6), layout=layout, distortion=distortion,
+            curvature_range=(0.1, 0.4) if seed % 2 else None, noise_sigma=0.01 * (seed // 2),
+            min_region_pixels=5,
+        )
+        assert scene_to_json(spec) == reference_scene_to_json(spec)
 
 
 def test_voronoi_regions_all_present():
@@ -287,3 +360,42 @@ def test_grid_layout_row_major_labels():
     assert np.array_equal(
         mask.labels, [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]]
     )
+
+
+def reference_voronoi_labels(site_r, site_c, h, w):
+    """One full-frame distance map per site; a strict < keeps ties on the lower index."""
+    rr = np.arange(h, dtype=np.float64)[:, None]
+    cc = np.arange(w, dtype=np.float64)[None, :]
+    best = np.full((h, w), np.inf)
+    labels = np.zeros((h, w), dtype=np.int32)
+    for i in range(len(site_r)):
+        d2 = (rr - site_r[i]) ** 2 + (cc - site_c[i]) ** 2
+        closer = d2 < best
+        labels[closer] = i
+        best = np.where(closer, d2, best)
+    return labels
+
+
+def test_voronoi_labels_match_per_site_loop_with_ties():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        h, w = rng.integers(1, 16, size=2)
+        sites = int(rng.integers(1, 12))
+        # half-integer sites put pixels at equal distance from two sites,
+        # and repeated sites tie everywhere
+        site_r = rng.integers(0, 2 * h, sites) / 2.0
+        site_c = rng.integers(0, 2 * w, sites) / 2.0
+        if sites > 1:
+            site_r[-1], site_c[-1] = site_r[0], site_c[0]
+        labels = _voronoi_labels(site_r, site_c, h, w)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, reference_voronoi_labels(site_r, site_c, h, w))
+    # the sites _layout_labels draws for real specs
+    for seed, size in ((0, (48, 64)), (3, (31, 17))):
+        spec = random_scene(seed, height=size[0], width=size[1], region_range=(5, 30),
+                            min_region_pixels=0)
+        site_rng = _rng(spec.seed, _TAG_LAYOUT)
+        site_r = site_rng.uniform(0, size[0], spec.sites)
+        site_c = site_rng.uniform(0, size[1], spec.sites)
+        expected = reference_voronoi_labels(site_r, site_c, *size)
+        assert np.array_equal(_layout_labels(spec), expected)
