@@ -15,6 +15,7 @@ exhausted the fallback chain.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields, replace
@@ -224,7 +225,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="depthscale",
         description="Region-aware rescaling of relative depth maps to metric depth",

@@ -37,6 +37,9 @@ PROV_GLOBAL = "global"
 
 DEFAULT_COND_MAX = 1e8
 
+# Pixels per row block of apply_fit: its per-block arrays stay in cache.
+_APPLY_BLOCK = 1 << 14
+
 # z2 spread below this fraction of its magnitude counts as constant.
 _RELATIVE_SPREAD_TOL = 1e-12
 
@@ -261,15 +264,25 @@ def apply_fit(
         raise InputError(f"label {mask.labels.max()} has no fit parameters ({len(params)} given)")
     alpha, beta, gamma, delta = np.array([_planar_terms(p) for p in params], dtype=np.float64).T
     x, y = normalized_coords(*np.ogrid[: d_rel.height, : d_rel.width], *d_rel.shape)
-    # One full-frame term at a time.
-    out = alpha[mask.labels]
-    out *= d_rel.values
-    term = np.empty_like(out)
-    for coeff, coord in ((beta, x), (gamma, y)):
-        np.take(coeff, mask.labels, out=term)
-        term *= coord
-        out += term
-    np.take(delta, mask.labels, out=term)
-    out += term
-    np.clip(out, lo, hi, out=out)
+    out = np.empty(d_rel.shape)
+    # One block of rows at a time, with its labels cast to intp once for
+    # the four takes (an int32 index would be cast on every take). The
+    # labels were checked above, so mode="clip" never clips; unlike the
+    # default mode it writes `out` without an intermediate buffer.
+    step = max(1, _APPLY_BLOCK // d_rel.width)
+    term = np.empty((min(step, d_rel.height), d_rel.width))
+    for r0 in range(0, d_rel.height, step):
+        rows = slice(r0, r0 + step)
+        labels = mask.labels[rows].astype(np.intp)
+        o = out[rows]
+        t = term[: len(o)]
+        np.take(alpha, labels, out=o, mode="clip")
+        o *= d_rel.values[rows]
+        for coeff, coord in ((beta, x), (gamma, y[rows])):
+            np.take(coeff, labels, out=t, mode="clip")
+            t *= coord
+            o += t
+        np.take(delta, labels, out=t, mode="clip")
+        o += t
+        np.clip(o, lo, hi, out=o)
     return DepthGrid(out, d_rel.valid)

@@ -25,6 +25,7 @@ import math
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
+from io import StringIO
 from numbers import Real
 from pathlib import Path
 
@@ -44,6 +45,8 @@ DPG_MAGIC = b"DPG1"
 DEFAULT_PGM_SCALE = 1000.0  # stored integers are millimeters
 MAX_PIXELS = 1 << 28
 SAMPLES_HEADER = ["row", "col", "depth_m"]
+_SAMPLE_DTYPE = np.dtype([("row", "<i8"), ("col", "<i8"), ("depth", "<f8")])
+_INT64 = np.iinfo(np.int64)
 MANIFEST_VERSION = 1
 
 
@@ -238,39 +241,74 @@ def load_samples(path) -> SparseSamples:
     """Load sparse measurements from CSV with header ``row,col,depth_m``.
 
     Rows with non-positive or non-finite depths are rejected with a
-    warning on stderr and the load continues; duplicate pixels raise
-    DuplicateSample.
+    warning on stderr and the load continues; a malformed row, or a
+    coordinate outside the int64 range, raises CorruptHeader naming its
+    line; duplicate pixels raise DuplicateSample.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    depths: list[float] = []
     try:
         handle = open(path, newline="")
     except FileNotFoundError as err:
         raise InputError(f"no such file: {path}") from err
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None or [h.strip() for h in header] != SAMPLES_HEADER:
             raise CorruptHeader(f"samples CSV must start with header {','.join(SAMPLES_HEADER)}")
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 3:
-                raise CorruptHeader(f"{path}:{lineno}: expected 3 columns, got {len(record)}")
-            try:
-                r, c, d = int(record[0]), int(record[1]), float(record[2])
-            except ValueError as err:
-                raise CorruptHeader(f"{path}:{lineno}: {err}") from err
-            if not math.isfinite(d) or d <= 0:
-                print(
-                    f"warning: {path}:{lineno}: dropping sample with depth {d}",
-                    file=sys.stderr,
-                )
-                continue
-            rows.append(r)
-            cols.append(c)
-            depths.append(d)
+        body = handle.read()
+    samples = _samples_in_one_call(body)
+    return _samples_by_row(body, path) if samples is None else samples
+
+
+def _samples_in_one_call(body: str) -> SparseSamples | None:
+    """The body parsed by one np.loadtxt call, or None where only the
+    row-by-row parser gives the exact result: the call raises, it skips
+    a line, or a depth must be dropped."""
+    if not body.strip():  # loadtxt warns on input without data
+        return None
+    try:
+        table = np.loadtxt(
+            StringIO(body), dtype=_SAMPLE_DTYPE, delimiter=",", comments=None, quotechar=None,
+            ndmin=1,
+        )
+    except ValueError:  # also at a lone \r line end, which csv accepts
+        return None
+    # a skipped line (loadtxt skips empty ones) sends the body to the row parser
+    n_lines = body.count("\n") + (not body.endswith("\n"))
+    depths = table["depth"]
+    if len(table) != n_lines or not (np.isfinite(depths) & (depths > 0)).all():
+        return None
+    return SparseSamples(table["row"], table["col"], depths)
+
+
+def _samples_by_row(body: str, path) -> SparseSamples:
+    """The body parsed one CSV record at a time, with each diagnostic's exact text."""
+    rows: list[int] = []
+    cols: list[int] = []
+    depths: list[float] = []
+    out_of_range = None
+    for lineno, record in enumerate(csv.reader(StringIO(body, newline="")), start=2):
+        if not record:
+            continue
+        if len(record) != 3:
+            raise CorruptHeader(f"{path}:{lineno}: expected 3 columns, got {len(record)}")
+        try:
+            r, c, d = int(record[0]), int(record[1]), float(record[2])
+        except ValueError as err:
+            raise CorruptHeader(f"{path}:{lineno}: {err}") from err
+        if not math.isfinite(d) or d <= 0:
+            print(
+                f"warning: {path}:{lineno}: dropping sample with depth {d}",
+                file=sys.stderr,
+            )
+            continue
+        wide = [v for v in (r, c) if not _INT64.min <= v <= _INT64.max]
+        if wide and out_of_range is None:
+            out_of_range = f"{path}:{lineno}: coordinate {wide[0]} is outside the int64 range"
+        rows.append(r)
+        cols.append(c)
+        depths.append(d)
+    # reported after the loop, so that every other error and warning comes first
+    if out_of_range is not None:
+        raise CorruptHeader(out_of_range)
     return SparseSamples(
         np.asarray(rows, dtype=np.int64),
         np.asarray(cols, dtype=np.int64),

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DimensionMismatch, NoOverlap
 from .grids import DepthGrid
 
+# Pixels per block of evaluate's elementwise terms: their temporaries stay in cache.
+_BLOCK = 1 << 14
+
 CSV_COLUMNS = (
     "image_id",
     "method",
@@ -80,22 +83,42 @@ def evaluate(
     if pred.shape != gt.shape:
         raise DimensionMismatch(f"prediction shape {pred.shape} != ground truth shape {gt.shape}")
     lo, hi = depth_range
-    mask = pred.valid & gt.valid & (gt.values >= lo) & (gt.values <= hi)
-    count = int(mask.sum())
+    mask = gt.values >= lo
+    mask &= gt.values <= hi
+    mask &= pred.valid
+    mask &= gt.valid
+    count = int(np.count_nonzero(mask))
     if count == 0:
         raise NoOverlap("no pixel is valid in both grids within the evaluation range")
-    p = pred.values[mask]
-    g = gt.values[mask]
-    diff = p - g
-    abs_rel = float(np.mean(np.abs(diff) / g))
-    rmse = float(np.sqrt(np.mean(diff**2)))
-    p_log = np.maximum(p, lo)
-    rmse_log = float(np.sqrt(np.mean((np.log(p_log) - np.log(g)) ** 2)))
-    log10 = float(np.mean(np.abs(np.log10(p_log) - np.log10(g))))
-    ratio = np.maximum(p / g, g / p)
-    delta1 = float(np.mean(ratio < 1.25))
-    delta2 = float(np.mean(ratio < 1.25**2))
-    delta3 = float(np.mean(ratio < 1.25**3))
+    # Each mean reduces one full-length term array, as np.mean over the
+    # whole gather would; the terms are computed a block of pixels at a
+    # time, so no other full-length temporary exists.
+    abs_rel_t, sq_t, sq_log_t, log10_t = np.empty((4, count))
+    hits = [0, 0, 0]
+    flat_mask = mask.ravel()
+    flat_p, flat_g = pred.values.ravel(), gt.values.ravel()
+    done = 0
+    for start in range(0, flat_mask.size, _BLOCK):
+        sel = flat_mask[start : start + _BLOCK]
+        p = flat_p[start : start + _BLOCK][sel]
+        g = flat_g[start : start + _BLOCK][sel]
+        span = slice(done, done + p.size)
+        done += p.size
+        diff = p - g
+        np.divide(np.abs(diff), g, out=abs_rel_t[span])
+        np.square(diff, out=sq_t[span])
+        p_log = np.maximum(p, lo)
+        np.square(np.log(p_log) - np.log(g), out=sq_log_t[span])
+        np.abs(np.log10(p_log) - np.log10(g), out=log10_t[span])
+        ratio = np.maximum(p / g, g / p)
+        for i in range(3):
+            hits[i] += int(np.count_nonzero(ratio < 1.25 ** (i + 1)))
+    abs_rel = float(np.mean(abs_rel_t))
+    rmse = float(np.sqrt(np.mean(sq_t)))
+    rmse_log = float(np.sqrt(np.mean(sq_log_t)))
+    log10 = float(np.mean(log10_t))
+    # exact integer counts: the same float as np.mean over the booleans
+    delta1, delta2, delta3 = (h / count for h in hits)
     return MetricReport(
         abs_rel=abs_rel,
         rmse=rmse,

@@ -113,8 +113,8 @@ class Distortion:
             raise InvalidSpec("distortion scale a must be positive")
         if self.kind == DISTORT_NONLINEAR and self.gamma <= 0:
             raise InvalidSpec("nonlinear exponent gamma must be positive")
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be non-negative")
+        if not (isinstance(self.noise_sigma, Real) and 0 <= self.noise_sigma < math.inf):
+            raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
     def inverse(self, gt: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Ground truth -> relative depth."""
@@ -421,25 +421,34 @@ def scene_to_json(spec: SceneSpec) -> str:
 
 
 def scene_from_json(text: str) -> SceneSpec:
+    """Parse a spec written by `scene_to_json`; a count or seed that is
+    not an integer >= 0 raises InvalidSpec naming the field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise InvalidSpec(f"scene spec is not valid JSON: {err}") from err
+
+    def count(name: str, default: int | None = None) -> int:
+        value = doc[name] if default is None else doc.get(name, default)
+        if not _is_int_at_least(value, 0):
+            raise InvalidSpec(f"scene spec field {name} must be an integer >= 0, got {value!r}")
+        return value
+
     try:
         regions = tuple(
             RegionSpec(Plane(**r["plane"]), Distortion(**r["distortion"]))
             for r in doc["regions"]
         )
         return SceneSpec(
-            height=int(doc["height"]),
-            width=int(doc["width"]),
+            height=count("height"),
+            width=count("width"),
             layout=doc["layout"],
             regions=regions,
-            seed=int(doc["seed"]),
+            seed=count("seed"),
             depth_range=tuple(doc["depth_range"]),
-            grid_rows=int(doc.get("grid_rows", 0)),
-            grid_cols=int(doc.get("grid_cols", 0)),
-            sites=int(doc.get("sites", 0)),
+            grid_rows=count("grid_rows", 0),
+            grid_cols=count("grid_cols", 0),
+            sites=count("sites", 0),
         )
     except (KeyError, TypeError) as err:
         raise InvalidSpec(f"scene spec is missing or mistypes a field: {err}") from err

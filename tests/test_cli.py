@@ -550,3 +550,37 @@ def test_rescale_flags_store_under_record_field_names():
     assert config_fields - rescale_ns.keys() == without_flags
     assert config_fields - bench_ns.keys() == without_flags | {"method"}
 
+
+
+def test_sample_coordinate_beyond_int64_exits_2(tmp_path, sparse_scene, capsys):
+    samples = tmp_path / "huge.csv"
+    samples.write_text("row,col,depth_m\n1,1,2.5\n9223372036854775808,1,1.5\n")
+    argv = ["rescale", "--depth", str(tmp_path / "rel.dpg"), "--mask", str(tmp_path / "mask.pgm"),
+            "--samples", str(samples), "--already-depth", "--out", str(tmp_path / "out.dpg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {samples}:3: coordinate 9223372036854775808 is outside the int64 range\n"
+    assert not (tmp_path / "out.dpg").exists()
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, sparse_scene, capsys):
+    # main() parses with one parser per process; each call must see only its own flags
+    common = ["--depth", str(tmp_path / "rel.dpg"), "--mask", str(tmp_path / "mask.pgm"),
+              "--samples", str(tmp_path / "samples.csv"), "--already-depth"]
+    calls = [
+        ["rescale", *common, "--method", "ssf", "--max-hops", "1", "--clamp", "0.2,5",
+         "--merge-same-label", "--out", str(tmp_path / "a.dpg")],
+        ["rescale", *common, "--out", str(tmp_path / "b.dpg")],
+        ["evaluate", "--pred", str(tmp_path / "b.dpg"), "--gt", str(tmp_path / "rel.dpg"),
+         "--seed", "4"],
+        ["rescale", *common, "--connectivity", "8", "--out", str(tmp_path / "c.dpg")],
+    ]
+    for argv in calls:
+        assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+        assert main(argv) == 0
+    assert build_parser() is build_parser()
+    capsys.readouterr()
+    # the run without flags matches a run in a process that never saw the others
+    rel, mask, samples = sparse_scene
+    metric, _ = rescale(rel, mask, samples, PipelineConfig())
+    assert io.load_depth(tmp_path / "b.dpg").values.tobytes() == metric.values.tobytes()

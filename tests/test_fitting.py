@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthscale import fitting
 from depthscale.errors import DegenerateDesign, InputError, InsufficientSamples, ZeroMedian
 from depthscale.fitting import (
     FitParams,
@@ -246,7 +248,7 @@ def reference_apply(d_rel, params, subset, clamp):
 @st.composite
 def labelled_fits(draw):
     """A grid with invalid pixels holding inf/nan, a label grid and one fit per label."""
-    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n_labels = draw(st.integers(1, 6))
     labels = rng.integers(0, n_labels, size=(h, w))
@@ -264,8 +266,10 @@ def labelled_fits(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(labelled_fits())
-def test_apply_matches_region_by_region_reference(case):
+@given(labelled_fits(), st.sampled_from([1, 7, 30, fitting._APPLY_BLOCK]))
+def test_apply_matches_region_by_region_reference(case, block):
+    # small blocks give row blocks of 1 to 30 pixels // width rows, so most
+    # heights are not a multiple of the block height
     d_rel, mask, params, clamp = case
     want = np.zeros(d_rel.shape)
     want_valid = np.zeros(d_rel.shape, dtype=bool)
@@ -273,7 +277,7 @@ def test_apply_matches_region_by_region_reference(case):
         values, sel = reference_apply(d_rel, p, mask.labels == label, clamp)
         want[sel] = values[sel]
         want_valid |= sel
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), mock.patch.object(fitting, "_APPLY_BLOCK", block):
         warnings.simplefilter("error", RuntimeWarning)
         got = apply_fit(d_rel, mask, params, clamp)
     assert got.values.tobytes() == want.tobytes()

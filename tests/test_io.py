@@ -1,9 +1,16 @@
+import csv
 import json
+import math
+import re
 import struct
+import sys
+from contextlib import redirect_stderr
+from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_normalize import grids_with_junk
 
@@ -233,6 +240,146 @@ def test_samples_csv_bad_header(tmp_path):
     path.write_text("r,c,d\n0,0,2.5\n")
     with pytest.raises(CorruptHeader):
         io.load_samples(path)
+
+
+def test_samples_csv_huge_coordinate_names_its_line(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("row,col,depth_m\n0,0,2.5\n3,9223372036854775808,1.5\n")
+    with pytest.raises(CorruptHeader, match=r"s\.csv:3: coordinate 9223372036854775808 is outside"):
+        io.load_samples(path)
+
+
+def reference_load_samples(path):
+    """The row-at-a-time parser that load_samples' one-call parse replaced."""
+    rows, cols, depths = [], [], []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != io.SAMPLES_HEADER:
+            raise CorruptHeader(f"samples CSV must start with header {','.join(io.SAMPLES_HEADER)}")
+        for lineno, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != 3:
+                raise CorruptHeader(f"{path}:{lineno}: expected 3 columns, got {len(record)}")
+            try:
+                r, c, d = int(record[0]), int(record[1]), float(record[2])
+            except ValueError as err:
+                raise CorruptHeader(f"{path}:{lineno}: {err}") from err
+            if not math.isfinite(d) or d <= 0:
+                print(f"warning: {path}:{lineno}: dropping sample with depth {d}", file=sys.stderr)
+                continue
+            rows.append(r)
+            cols.append(c)
+            depths.append(d)
+    return SparseSamples(
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(depths, dtype=np.float64),
+    )
+
+
+# Lines of a samples body, by which parser can read them. FAST lines are
+# read by the one-call parse; DROP lines too, but their depth must be
+# dropped; SLOW lines only by the row parser (underscores, full-width or
+# Arabic-Indic digits, quotes); BAD lines by neither; WIDE lines hold a
+# coordinate outside the int64 range.
+INTS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(0, 3).map(str),  # duplicates
+    st.sampled_from(["+1", " 2", "3 ", "\t4\t", "05", "-0", "\u00a06", str(2**63 - 1)]),
+)
+DEPTHS = st.one_of(
+    st.floats(0.001, 100.0).map(repr),
+    st.sampled_from(["2", "+2.5", " 3.25 ", ".5", "5.", "1e3", "1E-3", "4.9e-324"]),
+)
+DROPPED = st.one_of(
+    st.floats(max_value=0.0).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "Infinity", "-0.0", "0", "1e400", "1e-400"]),
+)
+
+
+def record(*fields):
+    return st.tuples(*fields).map(",".join)
+
+
+FAST = record(INTS, INTS, DEPTHS)
+DROP = record(INTS, INTS, DROPPED)
+SLOW = st.one_of(
+    record(st.sampled_from(["1_0", "\uff11", "\u0663", '"6"']), INTS, DEPTHS),
+    record(INTS, INTS, st.sampled_from(["1_0.5", "\uff13", '"4.5"', "\u00a07"])),
+)
+BAD = st.one_of(
+    record(st.sampled_from(["1.0", "1e3", "#7", "7#", "", " ", "0x1", "1 2"]), INTS, DEPTHS),
+    record(INTS, INTS, st.sampled_from(["#", "3.5#x", "", "0x10", "nan(1)", "1.5e", "3j"])),
+    FAST.map(lambda line: line + ","),  # trailing comma
+    st.sampled_from(["# comment", "1,2", "1,2,3,4", " ", "\t"]),
+)
+WIDE = record(st.sampled_from([str(2**63), str(-(2**63) - 1), str(2**64)]), INTS, DEPTHS)
+BLANK = st.just("")
+
+
+@st.composite
+def sample_files(draw):
+    """A samples CSV: LF, CRLF or CR line ends, maybe no final newline,
+    and a body that the one-call parse takes whole, or with depths to
+    drop, or that needs the row parser."""
+    lines = draw(st.one_of(
+        st.lists(FAST, max_size=12),
+        st.lists(st.one_of(FAST, DROP, BLANK), max_size=12),
+        st.lists(st.one_of(FAST, DROP, SLOW, BAD, WIDE, BLANK), max_size=12),
+    ))
+    odd = draw(st.none() | st.one_of(SLOW, BAD, WIDE))  # one odd line among the others
+    if odd is not None:
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    body = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        body = body.rstrip("\r\n")
+    header = draw(st.sampled_from(["row,col,depth_m\n", "row,col,depth_m\r\n", " row , col ,depth_m\n"]))
+    return header + body
+
+
+def load_outcome(load, path):
+    """What a loader returns or raises, and what it prints on stderr."""
+    err = StringIO()
+    with redirect_stderr(err):
+        try:
+            samples = load(path)
+            result = ("ok", samples.rows.tobytes(), samples.cols.tobytes(), samples.depths.tobytes())
+        except Exception as exc:  # compared by type and message
+            result = (type(exc), str(exc))
+    return result, err.getvalue()
+
+
+def first_wide_coordinate(path):
+    """(line, value) of the first kept record with a coordinate outside int64."""
+    with open(path, newline="") as handle:
+        for lineno, record in enumerate(csv.reader(handle), start=1):
+            if lineno > 1 and record and 0 < float(record[2]) < math.inf:
+                for value in map(int, record[:2]):
+                    if not -(2**63) <= value < 2**63:
+                        return lineno, value
+
+
+@settings(max_examples=500, deadline=None)
+@given(sample_files())
+@example("row,col,depth_m\n")
+@example("row,col,depth_m\n\n\n")
+@example("row,col,depth_m\n1,2,nan\n3,4,1.5\n")
+@example("row,col,depth_m\n1,2,nan\n9223372036854775808,1,1.5\n3,4,0\n1,-9223372036854775809,2\n")
+@example("row,col,depth_m\n1,1,1.5\r\n2,2,2.5\r\n")
+def test_samples_parse_matches_row_by_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("samples") / "s.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want, want_err = load_outcome(reference_load_samples, path)
+    got, got_err = load_outcome(io.load_samples, path)
+    assert got_err == want_err
+    if want[0] is OverflowError:  # the reference let numpy's error escape
+        lineno, value = first_wide_coordinate(path)
+        want = (CorruptHeader, f"{path}:{lineno}: coordinate {value} is outside the int64 range")
+    assert got == want
 
 
 def test_manifest_round_trip(tmp_path):

@@ -1,13 +1,16 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthscale import metrics
 from depthscale.errors import NoOverlap
 from depthscale.grids import DepthGrid
-from depthscale.metrics import evaluate
+from depthscale.metrics import MetricReport, evaluate
 
 RANGE = (0.001, 10.0)
 
@@ -123,3 +126,66 @@ def test_matches_naive_loop(seed, h, w):
     assert got.delta3 == want["d3"]
     # monotone thresholds hold for every input
     assert got.delta1 <= got.delta2 <= got.delta3
+
+
+def reference_evaluate(pred, gt, depth_range):
+    """evaluate as one gather and full-length temporaries, before its blocking."""
+    lo, hi = depth_range
+    mask = pred.valid & gt.valid & (gt.values >= lo) & (gt.values <= hi)
+    count = int(mask.sum())
+    if count == 0:
+        raise NoOverlap("no pixel is valid in both grids within the evaluation range")
+    p = pred.values[mask]
+    g = gt.values[mask]
+    diff = p - g
+    abs_rel = float(np.mean(np.abs(diff) / g))
+    rmse = float(np.sqrt(np.mean(diff**2)))
+    p_log = np.maximum(p, lo)
+    rmse_log = float(np.sqrt(np.mean((np.log(p_log) - np.log(g)) ** 2)))
+    log10 = float(np.mean(np.abs(np.log10(p_log) - np.log10(g))))
+    ratio = np.maximum(p / g, g / p)
+    delta1 = float(np.mean(ratio < 1.25))
+    delta2 = float(np.mean(ratio < 1.25**2))
+    delta3 = float(np.mean(ratio < 1.25**3))
+    return MetricReport(abs_rel, rmse, rmse_log, log10, delta1, delta2, delta3, count)
+
+
+@st.composite
+def prediction_pairs(draw):
+    """Prediction and ground truth with partly disjoint validity: predictions
+    below the range floor, zero or negative at valid pixels; ground truth
+    partly outside the range."""
+    h, w = draw(st.sampled_from([(1, 1), (3, 7), (16, 16), (40, 61), (130, 131)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    lo, hi = draw(st.sampled_from([(0.001, 10.0), (0.2, 5.0)]))
+    gt = rng.uniform(lo / 2, hi * 1.2, (h, w))
+    pred = gt * rng.uniform(0.5, 1.6, (h, w))
+    # ratios exactly at the delta thresholds
+    at = rng.random((h, w)) < 0.2
+    gt[at] = rng.choice([0.5, 1.0, 2.0, 4.0], size=int(at.sum()))
+    pred[at] = gt[at] * rng.choice([1.25, 1.25**2, 1.25**3, 1 / 1.25], size=int(at.sum()))
+    odd = rng.random((h, w))
+    pred[odd < 0.05] = rng.uniform(0.0, lo, (h, w))[odd < 0.05]  # below the floor
+    pred[(0.05 <= odd) & (odd < 0.08)] = 0.0
+    pred[(0.08 <= odd) & (odd < 0.1)] = -rng.uniform(0.0, 3.0, (h, w))[(0.08 <= odd) & (odd < 0.1)]
+    share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    pred_grid = DepthGrid(pred, rng.random((h, w)) >= share)
+    gt_grid = DepthGrid(gt, rng.random((h, w)) >= share)
+    return pred_grid, gt_grid, (lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prediction_pairs(), st.sampled_from([16, 64, 1000, metrics._BLOCK]))
+def test_blocked_evaluate_matches_reference_bit_for_bit(case, block):
+    pred, gt, depth_range = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # g / p at p == 0, in both
+        try:
+            want = reference_evaluate(pred, gt, depth_range)
+        except NoOverlap:
+            with pytest.raises(NoOverlap):
+                evaluate(pred, gt, depth_range)
+            return
+        with mock.patch.object(metrics, "_BLOCK", block):
+            got = evaluate(pred, gt, depth_range)
+    assert repr(got) == repr(want)

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, so a renamed library name shows."""
 
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,29 @@ def test_run_sweep(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "sweep" / "results.csv").exists()
+
+
+def test_bench_pairs_smoke(tmp_path):
+    # both sides are this checkout: the layout is what is checked, not the figures
+    out = tmp_path / "BENCH_smoke.json"
+    done = run_script(
+        "bench_pairs.py", str(ROOT), str(ROOT), "--out", str(out), "--smoke", "--pairs", "2",
+        "--traced-pairs", "1", "--parent-commit", "0" * 40, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(out.read_text())
+    assert doc["all_correct"] and doc["failed_frames"] == 0
+    assert [(r["pair"], r["side"], r["trace"]) for r in doc["runs"]] == [
+        (0, "parent", 0), (0, "change", 0), (1, "change", 0), (1, "parent", 0),
+        (0, "parent", 1), (0, "change", 1),
+    ]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert sorted(doc["summary"]) == sorted(
+        f"{w}/{m['name']}" for w in workloads for m in spec["end_to_end"]
+    )
+    for metric in doc["summary"].values():
+        assert metric["pairs_change_better"] + metric["pairs_change_worse"] <= 2
+        assert set(metric) >= {"parent_median", "change_median", "parent_iqr", "change_worse_by",
+                               "within_bound"}
+    assert "io.load_samples_ms" in doc["traced_lidar_files_medians"]

@@ -277,6 +277,27 @@ def test_scene_spec_json_round_trip():
     assert again == spec
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", 2.7), ("seed", "2"), ("seed", True), ("seed", -1), ("height", 20.0),
+     ("width", "30"), ("grid_rows", 1.5), ("grid_cols", None), ("sites", 3.0)],
+)
+def test_scene_spec_json_rejects_non_integer_counts(field, value):
+    spec = random_scene(2, height=20, width=30, region_range=(3, 3), min_region_pixels=5)
+    doc = json.loads(scene_to_json(spec))
+    doc[field] = value
+    with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
+        scene_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.5, "0.1", None])
+def test_distortion_noise_sigma_must_be_finite_and_non_negative(sigma):
+    with pytest.raises(InvalidSpec, match="noise_sigma"):
+        Distortion("affine", noise_sigma=sigma)
+    with pytest.raises(InvalidSpec, match="noise_sigma"):
+        random_scene(0, height=10, width=10, region_range=(2, 2), noise_sigma=sigma)
+
+
 def reference_scene_to_json(spec: SceneSpec) -> str:
     """The field-by-field writer scene_to_json replaced."""
     doc = {
