@@ -31,13 +31,18 @@ from pathlib import Path
 import numpy as np
 
 ORDER = "pair i runs the parent first when i is even, the change first when i is odd"
+SEED = 0
+# Untraced runs take run.py's default length, BENCHMARK.json's run_seconds.
+TRACED_SECONDS = 15
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool,
-              smoke: bool) -> dict:
+def run_bench(checkout: Path, workload: str, trace: bool, smoke: bool) -> dict:
     """One perfbench run in `checkout`; its final JSON line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(int(trace))] + (["--smoke"] if smoke else [])
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED)]
+    if trace:
+        cmd += ["--seconds", str(TRACED_SECONDS), "--trace", "1"]
+    if smoke:
+        cmd.append("--smoke")
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -57,8 +62,7 @@ def alternate(sides: dict[str, Path], pairs: int, **bench) -> list[dict]:
             run = {"pair": pair, "side": side, "started": started, "trace": int(bench["trace"])}
             if bench["trace"]:
                 run["workload"] = bench["workload"]
-            runs.append({**run, "seconds": bench["seconds"], "seed": bench["seed"],
-                         "result": result})
+            runs.append({**run, "result": result})
     return runs
 
 
@@ -124,10 +128,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of --workload all")
     parser.add_argument("--traced-pairs", type=int, default=3,
                         help="alternating pairs of traced lidar-files runs")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed phase of each run (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--traced-seconds", type=float, default=15.0)
     parser.add_argument("--host", default=f"{os.cpu_count()}-CPU {platform.system()} host, "
                         f"Python {platform.python_version()}, NumPy {np.__version__}")
     parser.add_argument("--smoke", action="store_true", help="tiny inputs, for testing")
@@ -137,22 +137,20 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    runs = alternate(sides, args.pairs, workload="all", seed=args.seed, seconds=seconds,
-                     trace=False, smoke=args.smoke)
-    traced = alternate(sides, args.traced_pairs, workload="lidar-files", seed=args.seed,
-                       seconds=args.traced_seconds, trace=True, smoke=args.smoke)
+    runs = alternate(sides, args.pairs, workload="all", trace=False, smoke=args.smoke)
+    traced = alternate(sides, args.traced_pairs, workload="lidar-files", trace=True,
+                       smoke=args.smoke)
     every = runs + traced
     doc = {
         "change": args.change_note,
         "parent_commit": args.parent_commit or commit_of(sides["parent"]),
         "claim": args.claim,
-        "command": f"python3 perfbench/run.py --workload all --seed {args.seed} --seconds {seconds:g}",
-        "traced_command": f"python3 perfbench/run.py --workload lidar-files --seed {args.seed} "
-                          f"--seconds {args.traced_seconds:g} --trace 1",
-        "seed": args.seed,
-        "run_seconds": seconds,
-        "traced_run_seconds": args.traced_seconds,
+        "command": f"python3 perfbench/run.py --workload all --seed {SEED}",
+        "traced_command": f"python3 perfbench/run.py --workload lidar-files --seed {SEED} "
+                          f"--seconds {TRACED_SECONDS} --trace 1",
+        "seed": SEED,
+        "run_seconds": spec["run_seconds"],
+        "traced_run_seconds": TRACED_SECONDS,
         "order": ORDER,
         "host": args.host,
         "all_correct": all(r["result"]["correct"] for r in every),

@@ -24,6 +24,7 @@ import json
 import math
 import struct
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from numbers import Real
@@ -254,29 +255,40 @@ def load_samples(path) -> SparseSamples:
         if header is None or [h.strip() for h in header] != SAMPLES_HEADER:
             raise CorruptHeader(f"samples CSV must start with header {','.join(SAMPLES_HEADER)}")
         body = handle.read()
-    samples = _samples_in_one_call(body)
+    samples = _samples_in_one_call(body, path)
     return _samples_by_row(body, path) if samples is None else samples
 
 
-def _samples_in_one_call(body: str) -> SparseSamples | None:
+def _warn_dropped(path, lineno: int, depth: float) -> None:
+    print(f"warning: {path}:{lineno}: dropping sample with depth {depth}", file=sys.stderr)
+
+
+def _samples_in_one_call(body: str, path) -> SparseSamples | None:
     """The body parsed by one np.loadtxt call, or None where only the
-    row-by-row parser gives the exact result: the call raises, it skips
-    a line, or a depth must be dropped."""
+    row-by-row parser gives the exact result: the call raises or skips a line."""
     if not body.strip():  # loadtxt warns on input without data
         return None
     try:
-        table = np.loadtxt(
-            StringIO(body), dtype=_SAMPLE_DTYPE, delimiter=",", comments=None, quotechar=None,
-            ndmin=1,
-        )
-    except ValueError:  # also at a lone \r line end, which csv accepts
+        with warnings.catch_warnings():
+            # NumPy releases that still read an int field such as "1.5"
+            # or 2**63 through a float only warn that this is deprecated.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                StringIO(body), dtype=_SAMPLE_DTYPE, delimiter=",", comments=None,
+                quotechar=None, ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):  # also at a lone \r line end, which csv accepts
         return None
-    # a skipped line (loadtxt skips empty ones) sends the body to the row parser
-    n_lines = body.count("\n") + (not body.endswith("\n"))
+    # loadtxt skips empty lines; with none skipped, table row i is file line i + 2
+    if len(table) != body.count("\n") + (not body.endswith("\n")):
+        return None
     depths = table["depth"]
-    if len(table) != n_lines or not (np.isfinite(depths) & (depths > 0)).all():
-        return None
-    return SparseSamples(table["row"], table["col"], depths)
+    keep = np.isfinite(depths) & (depths > 0)
+    if not keep.all():
+        for i in np.flatnonzero(~keep):
+            _warn_dropped(path, int(i) + 2, float(depths[i]))
+        table = table[keep]
+    return SparseSamples(table["row"], table["col"], table["depth"])
 
 
 def _samples_by_row(body: str, path) -> SparseSamples:
@@ -295,10 +307,7 @@ def _samples_by_row(body: str, path) -> SparseSamples:
         except ValueError as err:
             raise CorruptHeader(f"{path}:{lineno}: {err}") from err
         if not math.isfinite(d) or d <= 0:
-            print(
-                f"warning: {path}:{lineno}: dropping sample with depth {d}",
-                file=sys.stderr,
-            )
+            _warn_dropped(path, lineno, d)
             continue
         wide = [v for v in (r, c) if not _INT64.min <= v <= _INT64.max]
         if wide and out_of_range is None:

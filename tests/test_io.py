@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import sys
+import warnings
 from contextlib import redirect_stderr
 from io import StringIO
 
@@ -246,6 +247,36 @@ def test_samples_csv_huge_coordinate_names_its_line(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("row,col,depth_m\n0,0,2.5\n3,9223372036854775808,1.5\n")
     with pytest.raises(CorruptHeader, match=r"s\.csv:3: coordinate 9223372036854775808 is outside"):
+        io.load_samples(path)
+
+
+def test_samples_csv_dropped_depths_need_one_parse(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("row,col,depth_m\n0,0,2.5\n1,1,nan\n2,2,-1.0\n3,3,1.5\n")
+
+    def row_parser(body, path):
+        raise AssertionError("dropped depths sent the body to the row parser")
+
+    monkeypatch.setattr(io, "_samples_by_row", row_parser)
+    samples = io.load_samples(path)
+    assert samples.rows.tolist() == [0, 3] and samples.depths.tolist() == [2.5, 1.5]
+    assert capsys.readouterr().err == (
+        f"warning: {path}:3: dropping sample with depth nan\n"
+        f"warning: {path}:4: dropping sample with depth -1.0\n"
+    )
+
+
+def test_samples_csv_int_read_through_a_float_goes_to_the_row_parser(tmp_path, monkeypatch):
+    # NumPy releases before that deprecation expired return int(float("1.5")) with a warning
+    def lenient_loadtxt(fname, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([(1, 2, 3.0)], dtype=dtype)
+
+    path = tmp_path / "s.csv"
+    path.write_text("row,col,depth_m\n1.5,2,3.0\n")
+    monkeypatch.setattr(io.np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(CorruptHeader, match=r"s\.csv:2: invalid literal for int\(\) with base 10: '1\.5'"):
         io.load_samples(path)
 
 
