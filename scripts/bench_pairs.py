@@ -4,9 +4,9 @@
 Runs `perfbench/run.py --workload all` in a parent checkout and in a
 changed checkout, N times each, alternating which side goes first so
 that slow spells of a shared host fall on both sides alike. Then runs
-traced lidar-files pairs the same way, and writes every run plus a
-per-metric summary as JSON (the layout of the repo's BENCH_<n>.json
-files).
+traced pairs of every workload in BENCHMARK.json the same way, and
+writes every run plus a per-metric summary as JSON (the layout of the
+repo's BENCH_<n>.json files).
 
 Example:
     python scripts/bench_pairs.py ../parent . --out BENCH_10.json \\
@@ -99,13 +99,16 @@ def summarize(runs: list[dict], spec: dict) -> dict:
 
 
 def traced_medians(runs: list[dict]) -> dict:
-    if not runs:
-        return {}
-    return {
-        metric: {side + "_median": statistics.median(by_pair(runs, side, metric))
-                 for side in ("parent", "change")}
-        for metric in sorted(runs[0]["result"]["metrics"])
-    }
+    """Per workload, each per-layer metric's median on either side."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        out[workload] = {
+            metric: {side + "_median": statistics.median(by_pair(mine, side, metric))
+                     for side in ("parent", "change")}
+            for metric in sorted(mine[0]["result"]["metrics"])
+        }
+    return out
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -127,7 +130,7 @@ def main(argv=None) -> int:
                         help="recorded parent commit (default: git rev-parse in the parent)")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of --workload all")
     parser.add_argument("--traced-pairs", type=int, default=3,
-                        help="alternating pairs of traced lidar-files runs")
+                        help="alternating pairs of traced runs, per workload")
     parser.add_argument("--host", default=f"{os.cpu_count()}-CPU {platform.system()} host, "
                         f"Python {platform.python_version()}, NumPy {np.__version__}")
     parser.add_argument("--smoke", action="store_true", help="tiny inputs, for testing")
@@ -138,15 +141,17 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     runs = alternate(sides, args.pairs, workload="all", trace=False, smoke=args.smoke)
-    traced = alternate(sides, args.traced_pairs, workload="lidar-files", trace=True,
-                       smoke=args.smoke)
+    workloads = [w["name"] for w in spec["workloads"]]
+    traced = [run for workload in workloads
+              for run in alternate(sides, args.traced_pairs, workload=workload, trace=True,
+                                   smoke=args.smoke)]
     every = runs + traced
     doc = {
         "change": args.change_note,
         "parent_commit": args.parent_commit or commit_of(sides["parent"]),
         "claim": args.claim,
         "command": f"python3 perfbench/run.py --workload all --seed {SEED}",
-        "traced_command": f"python3 perfbench/run.py --workload lidar-files --seed {SEED} "
+        "traced_command": f"python3 perfbench/run.py --workload <workload> --seed {SEED} "
                           f"--seconds {TRACED_SECONDS} --trace 1",
         "seed": SEED,
         "run_seconds": spec["run_seconds"],
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
         "all_correct": all(r["result"]["correct"] for r in every),
         "failed_frames": sum(r["result"]["failed"] for r in every),
         "summary": summarize(runs, spec),
-        "traced_lidar_files_medians": traced_medians(traced),
+        "traced_medians": traced_medians(traced),
         "runs": every,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

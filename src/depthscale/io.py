@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     CorruptHeader,
     DimensionOverflow,
+    DuplicateSample,
     InputError,
     UnknownFormat,
 )
@@ -244,7 +245,8 @@ def load_samples(path) -> SparseSamples:
     Rows with non-positive or non-finite depths are rejected with a
     warning on stderr and the load continues; a malformed row, or a
     coordinate outside the int64 range, raises CorruptHeader naming its
-    line; duplicate pixels raise DuplicateSample.
+    line; a negative coordinate raises InputError and a repeated pixel
+    DuplicateSample, each naming its line and pixel.
     """
     try:
         handle = open(path, newline="")
@@ -284,11 +286,36 @@ def _samples_in_one_call(body: str, path) -> SparseSamples | None:
         return None
     depths = table["depth"]
     keep = np.isfinite(depths) & (depths > 0)
+    lines = np.arange(2, len(table) + 2)
     if not keep.all():
         for i in np.flatnonzero(~keep):
             _warn_dropped(path, int(i) + 2, float(depths[i]))
-        table = table[keep]
-    return SparseSamples(table["row"], table["col"], table["depth"])
+        table, lines = table[keep], lines[keep]
+    return _located_samples(path, table["row"], table["col"], table["depth"], lines)
+
+
+def _located_samples(path, rows, cols, depths, lines) -> SparseSamples:
+    """SparseSamples of the kept records, read from file lines `lines`; a
+    negative coordinate or a repeated pixel raises naming its line and pixel."""
+    try:
+        return SparseSamples(rows, cols, depths)
+    except InputError:
+        negative = np.flatnonzero((rows < 0) | (cols < 0))
+        if negative.size:
+            i = negative[0]
+            raise InputError(
+                f"{path}:{lines[i]}: negative coordinate in pixel ({rows[i]}, {cols[i]})"
+            ) from None
+        order = np.lexsort((cols, rows))  # stable: a pixel's lines stay in file order
+        r, c = rows[order], cols[order]
+        repeats = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1])) + 1
+        if repeats.size:
+            k = repeats[np.argmin(order[repeats])]  # the first line to repeat a pixel
+            i, first = order[k], order[k - 1]
+            raise DuplicateSample(
+                f"{path}:{lines[i]}: pixel ({rows[i]}, {cols[i]}) repeats line {lines[first]}"
+            ) from None
+        raise
 
 
 def _samples_by_row(body: str, path) -> SparseSamples:
@@ -296,6 +323,7 @@ def _samples_by_row(body: str, path) -> SparseSamples:
     rows: list[int] = []
     cols: list[int] = []
     depths: list[float] = []
+    lines: list[int] = []
     out_of_range = None
     for lineno, record in enumerate(csv.reader(StringIO(body, newline="")), start=2):
         if not record:
@@ -315,13 +343,16 @@ def _samples_by_row(body: str, path) -> SparseSamples:
         rows.append(r)
         cols.append(c)
         depths.append(d)
+        lines.append(lineno)
     # reported after the loop, so that every other error and warning comes first
     if out_of_range is not None:
         raise CorruptHeader(out_of_range)
-    return SparseSamples(
+    return _located_samples(
+        path,
         np.asarray(rows, dtype=np.int64),
         np.asarray(cols, dtype=np.int64),
         np.asarray(depths, dtype=np.float64),
+        lines,
     )
 
 

@@ -1,17 +1,22 @@
 """End-to-end region-aware rescaling of relative depth to metric depth.
 
 `rescale` normalizes the input map, extracts regions from the mask,
-fits each region's transform from the sparse measurements inside it
-(expanding over neighboring regions when a region is too thin, then
-walking a fallback chain of simpler fit kinds), and writes the metric
-depth map in one pass that applies each pixel's own region fit, looked
-up by its label. Expanded fits are applied only to the origin region's
-own pixels, so absorbed neighbors keep their independently fitted
-parameters.
+fits each region's transform from the sparse measurements inside it,
+and writes the metric depth map in one pass that applies each pixel's
+own region fit, looked up by its label. Expanded fits are applied only
+to the origin region's own pixels, so absorbed neighbors keep their
+independently fitted parameters.
 
-Region fits depend only on the immutable graph and sample set, so they
-could run in parallel; execution here is sequential and the output is
-bit-deterministic for identical inputs and configuration.
+`fit_regions` is the fit stage. A region too thin for its fit kind, or
+whose own fit is rejected, absorbs the sample-holding regions in order
+of (hop distance, region id), trying a fit at each hop where one joins;
+when that runs out it walks a fallback chain of simpler fit kinds,
+ending in a global fit. Hop distances are computed once per frame, and
+only when some region needs them. A fit is a pure function of its kind
+and its ordered observations, so fits are memoized on (kind, ordered
+absorbed regions), rejections included: each distinct observation list
+is fitted once. The output is bit-deterministic for identical inputs
+and configuration.
 """
 
 from __future__ import annotations
@@ -48,7 +53,14 @@ from .fitting import (
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, affine_invariant_normalize
-from .regions import CONNECTIVITIES, build_region_graph, expand_until, split_into_components
+from .regions import (
+    CONNECTIVITIES,
+    RegionGraph,
+    SourceRings,
+    build_region_graph,
+    expand_until,  # noqa: F401  (the benchmark's tracer wraps it under this name)
+    split_into_components,
+)
 
 METHOD_SLF = "slf"
 METHOD_SSF = "ssf"
@@ -169,6 +181,158 @@ def _fit(kind: str, obs: PairedObservations, cfg: PipelineConfig) -> FitParams:
     return fit_median_ratio(obs)
 
 
+
+def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: int) -> np.ndarray:
+    """One id per run values[start[i]:stop[i]] (non-empty), equal iff the runs are.
+
+    Runs are numbered like the nodes of a trie, one offset at a time over
+    the runs that long, so the work is proportional to their total length.
+    """
+    length = stop - start
+    order = np.argsort(-length, kind="stable")
+    start, length = start[order], length[order]
+    ids = values[start].astype(np.int64)
+    next_id = n_values
+    for offset in range(1, int(length[0]) if length.size else 0):
+        live = np.searchsorted(-length, -offset)  # runs longer than `offset`
+        distinct, inverse = np.unique(
+            ids[:live] * n_values + values[start[:live] + offset], return_inverse=True
+        )
+        ids[:live] = next_id + inverse
+        next_id += distinct.size
+    out = np.empty_like(ids)
+    out[order] = ids
+    return out
+
+
+def fit_regions(
+    graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig
+) -> list[FitParams]:
+    """Each region's fit: the first entry of the fallback chain that yields one.
+
+    A region entry of kind k tries the region's own observations, then
+    absorbs the sample-holding regions in order of (hop distance, id), at
+    most `cfg.max_hops` hops out. Only those regions change the
+    observations, so a fit is tried at hop 0 and at each hop where one
+    joins, on the groups of the absorbed regions concatenated in that
+    order. The first accepted fit is the region's, with provenance "own"
+    at hop 0 and "expanded" beyond. An entry that runs out of regions
+    passes to the next; a global entry fits every observation.
+
+    Fits are memoized on (kind, absorbed sample-holding regions in
+    order), rejections included, so each distinct observation list is
+    fitted once per call. The regions are walked together, one attempt
+    per region at a time, and only the distinct attempts reach Python.
+    Hop distances come from `SourceRings`, grown only as far as the
+    regions still without a fit need: not at all when every region fits
+    its first entry on its own observations.
+    """
+    chain = _effective_chain(cfg)
+    rings = SourceRings(graph, cfg.max_hops)
+    memo: dict[tuple, FitParams | None] = {}
+    placed: dict[tuple, FitParams | None] = {}
+    global_results: dict[str, FitParams | DegeneracyError] = {}
+
+    def region_fit(kind: str, key: tuple[int, ...], hop: int) -> FitParams | None:
+        if (kind, key, hop) not in placed:
+            if (kind, key) not in memo:
+                rows = np.concatenate([graph.group(region) for region in key])
+                try:
+                    memo[kind, key] = _fit(kind, paired.take(rows), cfg)
+                except DegeneracyError:
+                    memo[kind, key] = None
+            params = memo[kind, key]
+            if params is not None:
+                provenance = PROV_OWN if hop == 0 else PROV_EXPANDED
+                params = replace(params, provenance=provenance, hop=hop)
+            placed[kind, key, hop] = params
+        return placed[kind, key, hop]
+
+    def global_fit(kind: str) -> FitParams | DegeneracyError:
+        if kind not in global_results:
+            try:
+                params = replace(_fit(kind, paired, cfg), provenance=PROV_GLOBAL, hop=0)
+            except DegeneracyError as err:
+                params = err
+            global_results[kind] = params
+        return global_results[kind]
+
+    def attempt(kind: str, source, hop, start, end) -> tuple[np.ndarray, np.ndarray]:
+        """Fit the sources source[start:end] of each region, the last at
+        hop[end - 1]; one call per distinct attempt. Returns which fitted,
+        and their FitParams."""
+        run = _run_ids(source, start, end, graph.n_regions)
+        distinct, inverse = np.unique(
+            run * (int(hop.max()) + 1) + hop[end - 1], return_index=True, return_inverse=True
+        )[1:]
+        results = np.empty(distinct.size, dtype=object)
+        results[:] = [
+            region_fit(kind, tuple(source[start[i] : end[i]].tolist()), int(hop[end[i] - 1]))
+            for i in distinct.tolist()
+        ]
+        return np.not_equal(results, None)[inverse], results[inverse]
+
+    chosen = np.full(graph.n_regions, None, dtype=object)
+    pending = np.arange(graph.n_regions)
+    while True:
+        # The sources within the radius of each pending region, as runs of
+        # positions; a fit can be tried where a hop's run ends.
+        wanted = np.zeros(graph.n_regions, dtype=bool)
+        wanted[pending] = True
+        region, hop, source = rings.ordered(wanted)
+        lo = np.searchsorted(region, pending)
+        ends = np.ones(region.size, dtype=bool)
+        ends[:-1] = (region[1:] != region[:-1]) | (hop[1:] != hop[:-1])
+        ends = np.flatnonzero(ends) + 1
+        stop = np.searchsorted(ends, np.searchsorted(region, pending, side="right"), side="right")
+        total = np.concatenate([[0], np.cumsum(rings.counts[source])])
+        todo = np.arange(pending.size)  # into pending
+        unresolved = pending[:0]
+        for position, entry in enumerate(chain):
+            if not todo.size:
+                break
+            if entry in _GLOBAL_KIND:
+                result = global_fit(_GLOBAL_KIND[entry])
+                if isinstance(result, FitParams):
+                    chosen[pending[todo]] = result
+                    todo = todo[:0]
+                continue
+            kind = _REGION_KIND[entry]
+            # each region's first hop end with enough samples for this entry
+            at = np.searchsorted(total[ends], total[lo[todo]] + cfg.minimum_for(kind))
+            while (live := at < stop[todo]).any():
+                fitted, params = attempt(kind, source, hop, lo[todo[live]], ends[at[live]])
+                chosen[pending[todo[live][fitted]]] = params[fitted]
+                at[live] += 1
+                keep = ~live
+                keep[live] = ~fitted
+                todo, at = todo[keep], at[keep]
+            if position == 0:
+                # Out of hops to try: wait for wider rings, unless settled.
+                settled = rings.settled(pending[todo])
+                unresolved = pending[todo[~settled]]
+                todo = todo[settled]
+        if not unresolved.size:
+            break
+        # Grow the rings until each unresolved region has a new hop to try,
+        # and enough samples for the first entry, or reaches all it can.
+        pending = unresolved
+        need = np.maximum(rings.reached[pending] + 1, cfg.minimum_for(_REGION_KIND[chain[0]]))
+        need = np.minimum(need, rings.component_samples[pending])
+        while (rings.reached[pending] < need).any() and rings.grow():
+            pass
+
+    chosen = chosen.tolist()
+    if None in chosen:
+        failed = [global_results[_GLOBAL_KIND[e]] for e in chain if e in _GLOBAL_KIND]
+        if failed:
+            raise failed[-1]
+        raise InsufficientSamples(
+            f"region {chosen.index(None)}: fallback chain {chain} exhausted without a usable fit"
+        )
+    return chosen
+
+
 def rescale(
     d_in: DepthGrid,
     mask: LabelGrid,
@@ -204,70 +368,23 @@ def rescale(
     paired = pair_observations(working, samples)
     graph = build_region_graph(region_mask, paired, cfg.connectivity)
 
-    global_cache: dict[str, FitParams] = {}
-
-    def global_fit(kind: str) -> FitParams:
-        if kind not in global_cache:
-            params = _fit(kind, paired, cfg)
-            global_cache[kind] = replace(params, provenance=PROV_GLOBAL, hop=0)
-        return global_cache[kind]
-
-    chain = _effective_chain(cfg)
-    chosen: list[FitParams] = []
-    for region_id in range(graph.n_regions):
-        params: FitParams | None = None
-        last_error: DegeneracyError | None = None
-        for entry in chain:
-            if entry in _GLOBAL_KIND:
-                try:
-                    params = global_fit(_GLOBAL_KIND[entry])
-                except DegeneracyError as err:
-                    last_error = err
-                    continue
-                break
-            kind = _REGION_KIND[entry]
-            minimum = cfg.minimum_for(kind)
-            found: dict[str, FitParams] = {}
-
-            def need(accumulated: np.ndarray) -> bool:
-                if accumulated.size < minimum:
-                    return False
-                try:
-                    found["params"] = _fit(kind, paired.take(accumulated), cfg)
-                except DegeneracyError:
-                    return False
-                return True
-
-            expansion = expand_until(graph, region_id, need, cfg.max_hops)
-            if "params" in found:
-                provenance = PROV_OWN if expansion.hop == 0 else PROV_EXPANDED
-                params = replace(found["params"], provenance=provenance, hop=expansion.hop)
-                break
-        if params is None:
-            if last_error is not None:
-                raise last_error
-            raise InsufficientSamples(
-                f"region {region_id}: fallback chain {chain} exhausted without a usable fit"
-            )
-        chosen.append(params)
-
+    chosen = fit_regions(graph, paired, cfg)
     out = apply_fit(working, region_mask, chosen, cfg.clamp)
 
-    reports = []
-    for region_id, (own, params) in enumerate(zip(graph.samples, chosen)):
-        if own.size:
-            predicted = out.values[paired.rows[own], paired.cols[own]]
-            rmse = float(np.sqrt(np.mean((predicted - paired.z1[own]) ** 2)))
-        else:
-            rmse = float("nan")
-        reports.append(
-            RegionReport(
-                region_id=region_id,
-                params=params,
-                hop=params.hop,
-                samples_used=params.support,
-                residual_rmse=rmse,
-            )
+    rmse = [float("nan")] * graph.n_regions
+    for region_id in np.flatnonzero(graph.sample_counts).tolist():
+        own = graph.group(region_id)
+        predicted = out.values[paired.rows[own], paired.cols[own]]
+        rmse[region_id] = float(np.sqrt(np.mean((predicted - paired.z1[own]) ** 2)))
+    reports = [
+        RegionReport(
+            region_id=region_id,
+            params=params,
+            hop=params.hop,
+            samples_used=params.support,
+            residual_rmse=region_rmse,
         )
+        for region_id, (params, region_rmse) in enumerate(zip(chosen, rmse))
+    ]
 
     return out, reports

@@ -1,21 +1,25 @@
-"""Region extraction, adjacency, and deterministic neighbor expansion.
+"""Region extraction, the region graph, and hop distances over it.
 
 A label grid is first split into spatially connected components
 (segmentation exports may scatter one label across the image), then
-each component becomes a node in a region adjacency graph. The graph
-also groups the samples by region: each group holds indices into the
-sample set the graph was built from, which may be the raw samples or
-the observations paired from them. When a region alone does not hold
-enough sparse measurements, `expand_until` absorbs neighboring regions
-breadth-first, one ring at a time, taking regions within a ring in
-ascending-id order so the result is reproducible.
+each component becomes a node in a region adjacency graph, held as CSR
+arrays. The graph also groups the samples by region: each group holds
+indices into the sample set the graph was built from, which may be the
+raw samples or the observations paired from them.
+
+When a region alone does not hold enough sparse measurements, it
+absorbs neighbouring regions breadth-first, one ring at a time, taking
+regions within a ring in ascending-id order. That order is a sort by
+(hop distance, region id), and only regions holding samples change what
+is absorbed, so `SourceRings` computes hop distances once per frame,
+from the sample-holding regions only, with one vectorized breadth-first
+step per ring for all of them together. `expand_until` keeps the
+ring-by-ring walk for a single origin.
 
 The split and the adjacency both work on horizontal runs of equal
 labels. A few full-frame passes find the runs, and all later work is
 per run, so the cost is O(H·W) whatever the number of label values.
-
-Graphs are immutable once built; expansions for different origins are
-independent and may run concurrently.
+Graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -66,29 +70,148 @@ def _cross_row_neighbors(
     return run, starts[run] + offsets[which]
 
 
-def _group_bounds(keys: np.ndarray, n_groups: int) -> list[tuple[int, int]]:
-    """[lo, hi) bounds of each key 0 .. n_groups - 1 in the keys, once sorted."""
-    ends = np.cumsum(np.bincount(keys, minlength=n_groups)).tolist()
-    return list(zip([0] + ends[:-1], ends))
+def _bounds(keys: np.ndarray, n_groups: int) -> np.ndarray:
+    """Start of each key 0 .. n_groups - 1 in the keys once sorted, then their count."""
+    bounds = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_groups), out=bounds[1:])
+    return bounds
 
 
 @dataclass(frozen=True, eq=False)
 class RegionGraph:
-    """Per-region sample groups plus a symmetric, irreflexive adjacency.
+    """Per-region sample groups plus a symmetric, irreflexive adjacency, as CSR arrays.
 
-    Regions are numbered by their label in the grid. `samples[i]` holds
-    the indices of the samples inside region i, ascending.
+    Regions are numbered by their label in the grid. The neighbours of
+    region i are `indices[indptr[i]:indptr[i + 1]]`, ascending; the
+    samples inside it are `sample_order[sample_bounds[i]:sample_bounds[i + 1]]`,
+    ascending indices into the sample set the graph was built from.
     """
 
-    samples: tuple[np.ndarray, ...]
-    neighbor_ids: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    sample_bounds: np.ndarray
+    sample_order: np.ndarray
 
     @property
     def n_regions(self) -> int:
-        return len(self.neighbor_ids)
+        return self.indptr.size - 1
+
+    @property
+    def sample_counts(self) -> np.ndarray:
+        return np.diff(self.sample_bounds)
 
     def neighbors(self, region_id: int) -> tuple[int, ...]:
-        return self.neighbor_ids[region_id]
+        return tuple(self.indices[self.indptr[region_id] : self.indptr[region_id + 1]].tolist())
+
+    def group(self, region_id: int) -> np.ndarray:
+        """Indices of the samples inside the region, ascending."""
+        return self.sample_order[self.sample_bounds[region_id] : self.sample_bounds[region_id + 1]]
+
+
+# Bytes of visited table that one batch of breadth-first searches may hold.
+_SEEN_BUDGET = 1 << 24
+
+
+class SourceRings:
+    """Hop distances from every sample-holding region, grown one ring at a time.
+
+    Hop distance is symmetric, so the regions at hop h from a source are
+    exactly the regions that hold that source in their own ring h.
+    `levels[h]` pairs each region with every source at hop h from it, as
+    (regions, sources) arrays, ascending by source; `grow` adds the next
+    level, one vectorized breadth-first step for all sources together.
+    `reached[r]` counts the samples of the sources within `radius` hops
+    of region r. The sources are searched in batches whose visited tables
+    hold at most _SEEN_BUDGET bytes.
+    """
+
+    def __init__(self, graph: RegionGraph, max_hops: int | None = None):
+        self.graph = graph
+        self.max_hops = max_hops
+        self.counts = graph.sample_counts
+        self.sources = np.flatnonzero(self.counts)
+        self.levels = [(self.sources, self.sources)]
+        self.reached = self.counts.copy()
+        self.radius = 0
+        self._batches: list[tuple] | None = None
+        self._component_samples: np.ndarray | None = None
+
+    def ordered(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(region, hop, source) for the regions where `wanted` is set, within
+        `radius`, sorted by region, then hop, then source id: the order in
+        which a ring-by-ring expansion from the region absorbs the sources."""
+        picked = [wanted[regions] for regions, _ in self.levels]
+        region = np.concatenate([regions[keep] for (regions, _), keep in zip(self.levels, picked)])
+        source = np.concatenate([sources[keep] for (_, sources), keep in zip(self.levels, picked)])
+        sizes = [np.count_nonzero(keep) for keep in picked]
+        hop = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        # levels are already in (hop, source) order; a stable sort by region keeps it
+        order = np.argsort(region, kind="stable")
+        return region[order], hop[order], source[order]
+
+    def grow(self) -> bool:
+        """Add the next level; False at `max_hops` or once no source reaches further."""
+        graph, n = self.graph, self.graph.n_regions
+        if not self.sources.size or self.radius == self.max_hops:
+            return False
+        if self._batches is None:
+            # one visited table and frontier per batch of sources, as flat
+            # (source in batch, region) codes
+            per_batch = max(1, _SEEN_BUDGET // n)
+            self._batches = []
+            for first in range(0, self.sources.size, per_batch):
+                batch = self.sources[first : first + per_batch]
+                frontier = np.arange(batch.size, dtype=np.int64) * n + batch
+                seen = np.zeros(batch.size * n, dtype=bool)
+                seen[frontier] = True
+                self._batches.append((first, seen, [frontier]))
+        regions, sources = [], []
+        for first, seen, frontier in self._batches:
+            local, region = np.divmod(frontier[0], n)
+            lo = graph.indptr[region]
+            degree = graph.indptr[region + 1] - lo
+            which = np.repeat(np.arange(region.size), degree)
+            at = np.arange(which.size) + np.repeat(lo - (np.cumsum(degree) - degree), degree)
+            step = local[which] * n + graph.indices[at]
+            step = step[~seen[step]]
+            step.sort()
+            fresh = np.ones(step.size, dtype=bool)
+            np.not_equal(step[1:], step[:-1], out=fresh[1:])
+            step = step[fresh]
+            seen[step] = True
+            frontier[0] = step
+            local, region = np.divmod(step, n)
+            regions.append(region)
+            sources.append(self.sources[first + local])
+        level = (np.concatenate(regions), np.concatenate(sources))
+        if not level[0].size:
+            return False
+        self.levels.append(level)
+        self.radius += 1
+        self.reached += np.bincount(level[0], weights=self.counts[level[1]], minlength=n).astype(
+            np.int64
+        )
+        return True
+
+    def settled(self, regions) -> np.ndarray:
+        """Whether each region already reaches every source it may absorb."""
+        if self.radius == self.max_hops:
+            return np.ones(len(regions), dtype=bool)
+        return self.reached[regions] == self.component_samples[regions]
+
+    @property
+    def component_samples(self) -> np.ndarray:
+        """Samples in each region's connected component: all it can ever reach."""
+        if self._component_samples is None:
+            graph = self.graph
+            n = graph.n_regions
+            adjacency = csr_matrix(
+                (np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(n, n)
+            )
+            _, component = connected_components(adjacency, directed=False)
+            totals = np.bincount(component, weights=self.counts)
+            self._component_samples = totals.astype(np.int64)[component]
+        return self._component_samples
 
 
 @dataclass(frozen=True)
@@ -120,10 +243,10 @@ def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
     same = flat[starts][run] == flat[pixel]
     # `run` ascends, so the equal-label pairs fill a CSR matrix row by row.
     n_runs = starts.size
-    indptr = np.zeros(n_runs + 1, dtype=np.intp)
-    np.cumsum(np.bincount(run[same], minlength=n_runs), out=indptr[1:])
     touched = np.searchsorted(starts, pixel[same], side="right") - 1
-    graph = csr_matrix((np.ones(touched.size), touched, indptr), shape=(n_runs, n_runs))
+    graph = csr_matrix(
+        (np.ones(touched.size), touched, _bounds(run[same], n_runs)), shape=(n_runs, n_runs)
+    )
     _, component = connected_components(graph, directed=False)
     out = np.repeat(component, np.diff(starts, append=flat.size))
     return canonicalize_labels(LabelGrid(out.reshape(labels.shape)))
@@ -151,7 +274,6 @@ def build_region_graph(
         raise OutOfBounds(f"sample coordinates exceed mask shape ({height}, {width})")
     region_of = labels[samples.rows, samples.cols]
     sample_order = np.argsort(region_of, kind="stable").astype(np.int64, copy=False)
-    groups = tuple(sample_order[lo:hi] for lo, hi in _group_bounds(region_of, n_regions))
 
     # Adjacency from label changes: inside a row they sit at run starts,
     # across rows the run starts' neighbours meet them all.
@@ -168,10 +290,12 @@ def build_region_graph(
     codes = np.sort(np.concatenate([p * n_regions + q, q * n_regions + p]))
     codes = codes[np.diff(codes, prepend=-1) > 0]
     region, neighbor = np.divmod(codes, n_regions)
-    neighbor = neighbor.tolist()
-    neighbor_ids = tuple(tuple(neighbor[lo:hi]) for lo, hi in _group_bounds(region, n_regions))
-
-    return RegionGraph(samples=groups, neighbor_ids=neighbor_ids)
+    return RegionGraph(
+        indptr=_bounds(region, n_regions),
+        indices=neighbor,
+        sample_bounds=_bounds(region_of, n_regions),
+        sample_order=sample_order,
+    )
 
 
 def expand_until(
@@ -195,7 +319,7 @@ def expand_until(
     seen = {origin}
     frontier = [origin]
     hop = 0
-    accumulated = graph.samples[origin]
+    accumulated = graph.group(origin)
     while not need(accumulated):
         if max_hops is not None and hop >= max_hops:
             break
@@ -204,7 +328,7 @@ def expand_until(
             break
         included.extend(ring)
         seen.update(ring)
-        brought = [graph.samples[rid] for rid in ring if graph.samples[rid].size]
+        brought = [graph.group(rid) for rid in ring if graph.group(rid).size]
         if brought:
             accumulated = np.concatenate([accumulated, *brought])
         frontier = ring

@@ -236,6 +236,23 @@ def test_samples_csv_duplicate(tmp_path):
         io.load_samples(path)
 
 
+@pytest.mark.parametrize("by_row", [False, True])
+def test_samples_csv_bad_pixel_names_line_and_pixel(tmp_path, by_row):
+    # a quoted depth sends the whole body to the row parser
+    depth = '"1.5"' if by_row else "1.5"
+    path = tmp_path / "s.csv"
+    path.write_text(f"row,col,depth_m\n1,2,{depth}\n-1,2,{depth}\n")
+    with pytest.raises(InputError, match=r"s\.csv:3: negative coordinate in pixel \(-1, 2\)$"):
+        io.load_samples(path)
+    # a dropped depth does not count; the first line to repeat a pixel is named
+    path.write_text(
+        f"row,col,depth_m\n0,0,{depth}\n5,5,nan\n5,5,{depth}\n0,0,{depth}\n7,1,{depth}\n"
+        f"7,1,{depth}\n"
+    )
+    with pytest.raises(DuplicateSample, match=r"s\.csv:5: pixel \(0, 0\) repeats line 2$"):
+        io.load_samples(path)
+
+
 def test_samples_csv_bad_header(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("r,c,d\n0,0,2.5\n")
@@ -281,8 +298,12 @@ def test_samples_csv_int_read_through_a_float_goes_to_the_row_parser(tmp_path, m
 
 
 def reference_load_samples(path):
-    """The row-at-a-time parser that load_samples' one-call parse replaced."""
-    rows, cols, depths = [], [], []
+    """The row-at-a-time parser that load_samples' one-call parse replaced.
+
+    The first negative coordinate, else the first line to repeat a pixel,
+    raises naming its line and pixel.
+    """
+    rows, cols, depths, lines = [], [], [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -303,11 +324,17 @@ def reference_load_samples(path):
             rows.append(r)
             cols.append(c)
             depths.append(d)
-    return SparseSamples(
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(depths, dtype=np.float64),
-    )
+            lines.append(lineno)
+    rows_64, cols_64 = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    for lineno, r, c in zip(lines, rows, cols):
+        if r < 0 or c < 0:
+            raise InputError(f"{path}:{lineno}: negative coordinate in pixel ({r}, {c})")
+    first = {}
+    for lineno, r, c in zip(lines, rows, cols):
+        if (r, c) in first:
+            raise DuplicateSample(f"{path}:{lineno}: pixel ({r}, {c}) repeats line {first[r, c]}")
+        first[r, c] = lineno
+    return SparseSamples(rows_64, cols_64, np.asarray(depths, dtype=np.float64))
 
 
 # Lines of a samples body, by which parser can read them. FAST lines are
@@ -401,6 +428,8 @@ def first_wide_coordinate(path):
 @example("row,col,depth_m\n1,2,nan\n3,4,1.5\n")
 @example("row,col,depth_m\n1,2,nan\n9223372036854775808,1,1.5\n3,4,0\n1,-9223372036854775809,2\n")
 @example("row,col,depth_m\n1,1,1.5\r\n2,2,2.5\r\n")
+@example("row,col,depth_m\n1,2,1.5\n-1,2,1.5\n0,0,1\n0,0,2\n")
+@example("row,col,depth_m\n0,0,1.5\n1,1,inf\n1,1,2\n0,0,2.5\n1,1,3\n")
 def test_samples_parse_matches_row_by_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("samples") / "s.csv"
     path.write_text(text, encoding="utf-8", newline="")

@@ -305,6 +305,32 @@ def test_config_accepts_numpy_integer_sample_minima():
     assert [cfg.minimum_for(kind) for kind in ("affine", "planar", "median")] == [3, 5, 1]
 
 
+
+@pytest.mark.parametrize("method", ["ssf", "slf", "median"])
+def test_rescale_fits_each_observation_list_once(monkeypatch, method):
+    # many small regions and few samples, so most regions expand and many
+    # reach the same sample-holding regions in the same order
+    import depthscale.pipeline as pipeline
+
+    calls = []
+    for name in ("fit_affine", "fit_planar", "fit_median_ratio"):
+
+        def recording(obs, *args, _fit=getattr(pipeline, name), _name=name, **kwargs):
+            calls.append((_name, obs.rows.tobytes(), obs.cols.tobytes()))
+            return _fit(obs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recording)
+    rng = np.random.default_rng(11)
+    labels = np.kron(rng.integers(0, 4, size=(10, 12)), np.ones((2, 2), dtype=np.int64))
+    h, w = labels.shape
+    d_in = DepthGrid(rng.uniform(0.5, 5.0, (h, w)))
+    picked = rng.choice(h * w, size=7, replace=False)
+    samples = SparseSamples(picked // w, picked % w, rng.uniform(0.5, 8.0, picked.size))
+    _, reports = rescale(d_in, LabelGrid(labels), samples, PipelineConfig(method=method))
+    expanded = sum(r.params.provenance == "expanded" for r in reports)
+    assert expanded > len(calls) > 1
+    assert len(set(calls)) == len(calls)
+
 def reference_region_fits(d_in, mask, samples, cfg):
     """The fit stage as a slow, obvious oracle for `rescale`.
 

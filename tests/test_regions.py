@@ -1,13 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
+from depthscale import regions
 
 from depthscale.errors import InputError
 from depthscale.fitting import pair_observations
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 from depthscale.regions import (
+    SourceRings,
     build_region_graph,
     expand_until,
     split_into_components,
@@ -54,21 +61,29 @@ def graph_of(labels, samples=NO_SAMPLES, connectivity=4):
     return build_region_graph(LabelGrid(np.asarray(labels)), samples, connectivity)
 
 
+def adjacency(g):
+    return tuple(g.neighbors(i) for i in range(g.n_regions))
+
+
+def groups(g):
+    return [list(g.group(i)) for i in range(g.n_regions)]
+
+
 def test_two_column_regions_one_edge():
     g = graph_of([[0, 1], [0, 1]])
     assert g.n_regions == 2
-    assert g.neighbor_ids == ((1,), (0,))
+    assert adjacency(g) == ((1,), (0,))
 
 
 def test_uniform_mask_no_edges():
     g = graph_of(np.zeros((3, 3), dtype=int))
     assert g.n_regions == 1
-    assert g.neighbor_ids == ((),)
+    assert adjacency(g) == ((),)
 
 
 def test_chain_adjacency():
     g = graph_of([[0], [1], [2]])
-    assert g.neighbor_ids == ((1,), (0, 2), (1,))
+    assert adjacency(g) == ((1,), (0, 2), (1,))
     assert g.neighbors(0) == (1,)
     assert g.neighbors(1) == (0, 2)
 
@@ -87,7 +102,7 @@ def test_non_canonical_mask_rejected():
 def test_sample_assignment():
     samples = SparseSamples.from_points([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)])
     g = graph_of([[0, 1], [0, 1]], samples)
-    assert [list(group) for group in g.samples] == [[0], [1, 2]]
+    assert groups(g) == [[0], [1, 2]]
 
 
 def test_sample_groups_index_the_samples_given():
@@ -96,9 +111,9 @@ def test_sample_groups_index_the_samples_given():
     grid = DepthGrid(np.ones((2, 2)), np.array([[False, True], [True, True]]))
     samples = SparseSamples.from_points([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)])
     paired = build_region_graph(mask, pair_observations(grid, samples))
-    assert [list(group) for group in paired.samples] == [[1], [0]]
+    assert groups(paired) == [[1], [0]]
     raw = build_region_graph(mask, samples)
-    assert [list(group) for group in raw.samples] == [[0, 2], [1]]
+    assert groups(raw) == [[0, 2], [1]]
 
 
 def test_split_disconnected_label():
@@ -181,7 +196,7 @@ def test_split_and_graph_match_reference(labels, connectivity):
     assert out.dtype == want.dtype and out.shape == want.shape
     assert out.tobytes() == want.tobytes()
     g = build_region_graph(LabelGrid(want), NO_SAMPLES, connectivity)
-    assert g.neighbor_ids == reference_neighbors(want, connectivity)
+    assert adjacency(g) == reference_neighbors(want, connectivity)
 
 
 def test_split_one_value_per_pixel():
@@ -216,13 +231,12 @@ def test_partition_and_symmetry(h, w, seed):
     # one region per label of the grid, and every region id labels some pixel
     assert g.n_regions == mask.labels.max() + 1
     assert np.array_equal(np.unique(mask.labels), range(g.n_regions))
-    assert len(g.samples) == g.n_regions
+    assert g.sample_bounds.size == g.n_regions + 1
     # adjacency is exactly the 4-neighbor label changes, both ways round
     lab = mask.labels
     left = np.r_[lab[:, :-1].ravel(), lab[:-1, :].ravel()]
     right = np.r_[lab[:, 1:].ravel(), lab[1:, :].ravel()]
     touching = {e for p, q in zip(left, right) if p != q for e in ((int(p), int(q)), (int(q), int(p)))}
-    assert len(g.neighbor_ids) == g.n_regions
     assert touching == {(a, b) for a in range(g.n_regions) for b in g.neighbors(a)}
     for a in range(g.n_regions):
         assert list(g.neighbors(a)) == sorted(set(g.neighbors(a)))
@@ -247,3 +261,44 @@ def test_expansion_deterministic_and_monotone(seed):
         if previous is not None:
             assert exp.included[: len(previous)] == previous
         previous = exp.included
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    label_grids(max_side=16, min_values=2),
+    st.sampled_from([4, 8]),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([None, 0, 2]),
+    st.sampled_from([1 << 24, 1]),
+)
+def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops, budget):
+    # after each ring, every (region, source) pair within the radius, in
+    # (region, hop, source) order, as scipy's unweighted shortest paths give
+    # them; a one-byte budget searches each source in its own batch
+    mask = split_into_components(LabelGrid(labels), connectivity)
+    h, w = labels.shape
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(h * w, size=int(rng.integers(0, min(8, h * w) + 1)), replace=False)
+    samples = SparseSamples(picked // w, picked % w, np.ones(picked.size))
+    g = build_region_graph(mask, samples, connectivity)
+    n = g.n_regions
+    hops = shortest_path(
+        csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n)), unweighted=True
+    )
+    counts = g.sample_counts
+    sources = np.flatnonzero(counts)
+    with mock.patch.object(regions, "_SEEN_BUDGET", budget):
+        rings = SourceRings(g, max_hops)
+        while True:
+            within = hops[:, sources] <= rings.radius
+            want = sorted(
+                (r, int(hops[r, s]), s) for r in range(n) for s, ok in zip(sources, within[r]) if ok
+            )
+            got = list(zip(*(a.tolist() for a in rings.ordered(np.ones(n, dtype=bool)))))
+            assert got == want
+            assert rings.reached.tolist() == (within * counts[sources]).sum(axis=1).tolist()
+            if not rings.grow():
+                break
+    # grown as far as it goes, every region holds what it can ever absorb
+    assert max_hops is None or rings.radius <= max_hops
+    assert rings.settled(np.arange(n)).all()

@@ -55,12 +55,12 @@ def test_bench_pairs_smoke(tmp_path):
     assert done.returncode == 0, done.stderr
     doc = json.loads(out.read_text())
     assert doc["all_correct"] and doc["failed_frames"] == 0
-    assert [(r["pair"], r["side"], r["trace"]) for r in doc["runs"]] == [
-        (0, "parent", 0), (0, "change", 0), (1, "change", 0), (1, "parent", 0),
-        (0, "parent", 1), (0, "change", 1),
-    ]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    assert [(r["pair"], r["side"], r["trace"], r.get("workload")) for r in doc["runs"]] == [
+        (0, "parent", 0, None), (0, "change", 0, None), (1, "change", 0, None),
+        (1, "parent", 0, None),
+    ] + [(0, side, 1, w) for w in workloads for side in ("parent", "change")]
     assert sorted(doc["summary"]) == sorted(
         f"{w}/{m['name']}" for w in workloads for m in spec["end_to_end"]
     )
@@ -68,4 +68,6 @@ def test_bench_pairs_smoke(tmp_path):
         assert metric["pairs_change_better"] + metric["pairs_change_worse"] <= 2
         assert set(metric) >= {"parent_median", "change_median", "parent_iqr", "change_worse_by",
                                "within_bound"}
-    assert "io.load_samples_ms" in doc["traced_lidar_files_medians"]
+    assert sorted(doc["traced_medians"]) == sorted(workloads)
+    assert "io.load_samples_ms" in doc["traced_medians"]["lidar-files"]
+    assert "fitting.fit_calls" in doc["traced_medians"]["fragmented"]
