@@ -307,7 +307,7 @@ def fit_regions(
                 keep = ~live
                 keep[live] = ~fitted
                 todo, at = todo[keep], at[keep]
-            if position == 0:
+            if position == 0 and todo.size:
                 # Out of hops to try: wait for wider rings, unless settled.
                 settled = rings.settled(pending[todo])
                 unresolved = pending[todo[~settled]]

@@ -306,6 +306,18 @@ def test_config_accepts_numpy_integer_sample_minima():
 
 
 
+def test_regions_fitting_on_their_own_compute_no_hop_distances(twenty_region_scene, monkeypatch):
+    # every region holds enough samples for slf, so nothing expands
+    from depthscale.regions import SourceRings
+
+    def unexpected(self):
+        raise AssertionError("hop distances computed")
+
+    monkeypatch.setattr(SourceRings, "grow", unexpected)
+    monkeypatch.setattr(SourceRings, "component_samples", property(unexpected))
+    _, reports = rescale(*twenty_region_scene, PipelineConfig(method="slf"))
+    assert {r.params.provenance for r in reports} == {"own"}
+
 @pytest.mark.parametrize("method", ["ssf", "slf", "median"])
 def test_rescale_fits_each_observation_list_once(monkeypatch, method):
     # many small regions and few samples, so most regions expand and many
