@@ -82,14 +82,17 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         sign = 1.0 if kind["better"] == "lower" else -1.0
         p_med, c_med = statistics.median(parent), statistics.median(change)
         worse_by = round(sign * (c_med - p_med) / p_med, 4)
-        q75, q25 = np.percentile(parent, [75, 25])
+        p_iqr, c_iqr = (float(np.subtract(*np.percentile(v, [75, 25]))) for v in (parent, change))
         summary[metric] = {
             "unit": record["unit"],
             "better": kind["better"],
             "bound": kind["bound"],
             "parent_median": p_med,
             "change_median": c_med,
-            "parent_iqr": float(q75 - q25),
+            "parent_iqr": p_iqr,
+            "change_iqr": c_iqr,
+            "parent_relative_iqr": round(p_iqr / p_med, 4),
+            "change_relative_iqr": round(c_iqr / c_med, 4),
             "change_worse_by": worse_by,
             "within_bound": worse_by <= kind["bound"],
             "pairs_change_better": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),

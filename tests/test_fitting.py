@@ -7,18 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthscale import fitting
-from depthscale.errors import DegenerateDesign, InputError, InsufficientSamples, ZeroMedian
+from depthscale.errors import (
+    DegeneracyError,
+    DegenerateDesign,
+    InputError,
+    InsufficientSamples,
+    ZeroMedian,
+)
 from depthscale.fitting import (
+    _RELATIVE_SPREAD_TOL,
+    DEFAULT_COND_MAX,
+    KIND_AFFINE,
+    KIND_MEDIAN,
+    KIND_PLANAR,
+    MIN_SUPPORT,
     FitParams,
     PairedObservations,
     apply_fit,
     fit_affine,
+    fit_batch,
     fit_median_ratio,
     fit_planar,
     normalized_coords,
     pair_observations,
 )
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
+from depthscale.normalize import lower_median
 
 
 def obs_from(z2, z1, x=None, y=None):
@@ -410,3 +424,156 @@ def test_brute_force_oracle_agrees_on_small_sets():
         got = np.array([p.alpha, p.beta, p.gamma, p.delta])
         assert np.abs(got - oracle).max() < 1e-4
         checked += 1
+
+
+# ------------------------------------------- stacked kernel against scalar fits
+
+
+def _reference_condition(design: np.ndarray) -> float:
+    s = np.linalg.svd(design, compute_uv=False)
+    if s[-1] == 0.0:
+        return float("inf")
+    return float(s[0] / s[-1])
+
+
+def reference_fit_affine(obs: PairedObservations) -> FitParams:
+    """The one-list affine fit that `fit_batch` stacks, one NumPy call per step."""
+    n = len(obs)
+    if n < MIN_SUPPORT[KIND_AFFINE]:
+        raise InsufficientSamples(f"affine fit needs >= 2 observations, got {n}")
+    z1, z2 = obs.z1, obs.z2
+    scale = float(np.max(np.abs(z2)))
+    if float(np.ptp(z2)) <= _RELATIVE_SPREAD_TOL * scale:
+        raise DegenerateDesign("relative depths are constant; scale and shift are not identifiable")
+    z2_bar = float(np.mean(z2))
+    z1_bar = float(np.mean(z1))
+    dz = z2 - z2_bar
+    alpha = float(dz @ (z1 - z1_bar)) / float(dz @ dz)
+    return FitParams(
+        kind=KIND_AFFINE,
+        alpha=alpha,
+        beta=z1_bar - alpha * z2_bar,
+        gamma=0.0,
+        delta=0.0,
+        support=n,
+        condition=_reference_condition(np.column_stack([z2, np.ones_like(z2)])),
+    )
+
+
+def reference_fit_planar(obs: PairedObservations, cond_max: float = DEFAULT_COND_MAX) -> FitParams:
+    """The one-list planar fit that `fit_batch` stacks."""
+    n = len(obs)
+    if n < MIN_SUPPORT[KIND_PLANAR]:
+        raise InsufficientSamples(f"planar fit needs >= 4 observations, got {n}")
+    design = np.column_stack([obs.z2, obs.x, obs.y, np.ones(n)])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
+    if not np.isfinite(cond) or cond > cond_max:
+        raise DegenerateDesign(
+            f"planar design condition {cond:.3e} exceeds {cond_max:.1e} (rank-deficient or near it)"
+        )
+    coeffs = vt.T @ ((u.T @ obs.z1) / s)
+    return FitParams(
+        kind=KIND_PLANAR,
+        alpha=float(coeffs[0]),
+        beta=float(coeffs[1]),
+        gamma=float(coeffs[2]),
+        delta=float(coeffs[3]),
+        support=n,
+        condition=cond,
+    )
+
+
+def reference_fit_median_ratio(obs: PairedObservations) -> FitParams:
+    """The one-list median-ratio fit that `fit_batch` stacks."""
+    n = len(obs)
+    if n < MIN_SUPPORT[KIND_MEDIAN]:
+        raise InsufficientSamples("median-ratio fit needs at least 1 observation")
+    m2 = lower_median(obs.z2)
+    if m2 == 0.0:
+        raise ZeroMedian("median of relative depths is zero")
+    alpha = lower_median(obs.z1) / m2
+    return FitParams(
+        kind=KIND_MEDIAN,
+        alpha=alpha,
+        beta=0.0,
+        gamma=0.0,
+        delta=0.0,
+        support=n,
+        condition=1.0,
+    )
+
+
+REFERENCE_FITS = {
+    KIND_AFFINE: (reference_fit_affine, lambda obs, cond_max: fit_affine(obs)),
+    KIND_PLANAR: (reference_fit_planar, fit_planar),
+    KIND_MEDIAN: (reference_fit_median_ratio, lambda obs, cond_max: fit_median_ratio(obs)),
+}
+Z2_SHAPES = ("random", "ties", "constant", "planar", "zero-median")
+
+
+@st.composite
+def observation_stacks(draw):
+    """Observation lists of 1-300 rows over one shuffled observation set.
+
+    Sizes repeat, so most lengths make a stack of several lists, and they
+    cross NumPy's pairwise-summation blocks of 8 and 128. Besides random
+    z2, a list may hold few distinct z2 values, a constant z2, a planar
+    z2 = a*x + b*y + c or a z2 whose lower median is zero.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    lengths = draw(st.lists(st.integers(1, 300) | st.integers(1, 12), min_size=1, max_size=4))
+    lists = draw(
+        st.lists(st.tuples(st.sampled_from(lengths), st.sampled_from(Z2_SHAPES)), min_size=1, max_size=12)
+    )
+    columns = {name: [] for name in ("z1", "z2", "x", "y")}
+    for n, shape in lists:
+        x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        z2 = rng.uniform(0.2, 4.0, n)
+        if shape == "ties":
+            z2 = rng.choice([0.5, 1.25, 3.0], n)
+        elif shape == "constant":
+            z2[:] = rng.uniform(0.2, 4.0)
+        elif shape == "planar":
+            a, b, c = rng.uniform(-2, 2, 3)
+            z2 = a * x + b * y + c
+        elif shape == "zero-median":
+            z2 = rng.uniform(-2.0, 2.0, n)
+            z2[np.argsort(z2)[(n - 1) // 2]] = 0.0
+        for name, values in zip(columns, (rng.uniform(0.1, 8.0, n), z2, x, y)):
+            columns[name].append(values)
+    total = sum(n for n, _ in lists)
+    order = rng.permutation(total)  # list i takes the rows where its values landed
+    where = np.empty(total, dtype=np.int64)
+    where[order] = np.arange(total)
+    stacked = {name: np.concatenate(parts)[order] for name, parts in columns.items()}
+    obs = PairedObservations(rows=np.arange(total), cols=np.arange(total), **stacked)
+    bounds = np.cumsum([0] + [n for n, _ in lists])
+    groups = [where[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return obs, groups, draw(st.sampled_from([DEFAULT_COND_MAX, 10.0, 1e14]))
+
+
+def fit_outcome(fit, *args):
+    """The FitParams of one fit and its repr, or its error's type and message."""
+    try:
+        params = fit(*args)
+    except DegeneracyError as err:
+        return type(err).__name__, str(err)
+    return params, repr(params.as_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(observation_stacks(), st.sampled_from((KIND_AFFINE, KIND_PLANAR, KIND_MEDIAN)))
+def test_fit_batch_matches_scalar_fits_bit_for_bit(case, kind):
+    obs, groups, cond_max = case
+    reference, single = REFERENCE_FITS[kind]
+    got = fit_batch(kind, obs, groups, cond_max)
+    assert len(got) == len(groups)
+    for group, params in zip(groups, got):
+        lists = obs.take(group)
+        want = fit_outcome(reference, lists, *([cond_max] if kind == KIND_PLANAR else []))
+        assert fit_outcome(single, lists, cond_max) == want
+        if isinstance(want[0], FitParams):
+            assert (params, repr(params.as_dict())) == want
+        else:
+            assert params is None

@@ -325,13 +325,12 @@ def test_rescale_fits_each_observation_list_once(monkeypatch, method):
     import depthscale.pipeline as pipeline
 
     calls = []
-    for name in ("fit_affine", "fit_planar", "fit_median_ratio"):
 
-        def recording(obs, *args, _fit=getattr(pipeline, name), _name=name, **kwargs):
-            calls.append((_name, obs.rows.tobytes(), obs.cols.tobytes()))
-            return _fit(obs, *args, **kwargs)
+    def recording(kind, obs, groups, *args, _fit=pipeline.fit_batch, **kwargs):
+        calls.extend((kind, rows.tobytes()) for rows in groups)
+        return _fit(kind, obs, groups, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, recording)
+    monkeypatch.setattr(pipeline, "fit_batch", recording)
     rng = np.random.default_rng(11)
     labels = np.kron(rng.integers(0, 4, size=(10, 12)), np.ones((2, 2), dtype=np.int64))
     h, w = labels.shape

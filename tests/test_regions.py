@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from depthscale import regions
 
@@ -302,3 +302,18 @@ def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops,
     # grown as far as it goes, every region holds what it can ever absorb
     assert max_hops is None or rings.radius <= max_hops
     assert rings.settled(np.arange(n)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_grids(max_side=30), st.sampled_from([4, 8]), st.booleans())
+def test_region_graph_is_one_component(labels, connectivity, merge_same_label):
+    # SourceRings.component_samples lets every region reach every sample
+    mask = LabelGrid(labels)
+    if merge_same_label:
+        mask = canonicalize_labels(mask)
+    else:
+        mask = split_into_components(mask, connectivity)
+    g = build_region_graph(mask, NO_SAMPLES, connectivity)
+    n = g.n_regions
+    adjacency = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    assert connected_components(adjacency, directed=False)[0] == 1
