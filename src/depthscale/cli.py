@@ -123,13 +123,14 @@ def cmd_rescale(args) -> int:
             "out_report": args.out_report or f"{args.out_depth}.regions.json",
         })
 
-    depth = io.load_depth(man.depth_path, pgm_scale=man.pgm_scale)
+    relative = io.load_depth(man.depth_path, pgm_scale=man.pgm_scale)
     mask = io.load_mask(man.mask_path)
     if man.samples_path is not None:
         samples = io.load_samples(man.samples_path)
     else:
         samples = _draw_samples(man)
-    relative = depth if man.already_depth else invert_depth(depth)
+    if not man.already_depth:
+        relative = invert_depth(relative)  # the model's inverse depth is dropped here
     metric, reports = rescale(relative, mask, samples, man.config)
     io.save_depth(metric, man.out_depth)
     io.save_region_reports(reports, man.out_report)

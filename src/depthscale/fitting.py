@@ -361,4 +361,4 @@ def apply_fit(
         np.take(delta, labels, out=t, mode="clip")
         o += t
         np.clip(o, lo, hi, out=o)
-    return DepthGrid(out, d_rel.valid)
+    return DepthGrid.adopt(out, d_rel.valid)

@@ -6,8 +6,12 @@ Conventions shared by the whole package:
 - Invalid pixels are tracked with an explicit boolean mask, and a
   `DepthGrid` holds +0.0 at each of them, so whole-frame arithmetic on
   its values needs no mask; file loaders map stored zeros to invalid.
-- Arrays are copied on construction and marked read-only, so every
-  instance is immutable and safe to share across threads.
+- Every array a grid holds is read-only, so every instance is immutable
+  and safe to share across threads. The constructors copy the caller's
+  arrays; the library's own producers hand over the arrays they have
+  just computed (`DepthGrid.adopt`, `LabelGrid.adopt`), which the grid
+  keeps without a copy after the same checks. A read-only validity
+  mask, such as another grid's, is shared.
 """
 
 from __future__ import annotations
@@ -19,10 +23,33 @@ import numpy as np
 from .errors import DuplicateSample, InputError, OutOfBounds
 
 
+class _Handed:
+    """An array a producer has just made and hands to a grid to keep."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray, dtype):
+        if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.writeable):
+            raise TypeError(f"a grid adopts only a writable {np.dtype(dtype)} array")
+        self.array = array
+
+
 def _readonly(arr, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
+    """The read-only array kept for `arr`: a handed-over array itself, else a copy."""
+    out = arr.array if isinstance(arr, _Handed) else np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _frozen_mask(arr) -> bool:
+    """True for a read-only bool array that nothing it views can write to."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == bool):
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,18 +65,40 @@ class DepthGrid:
     valid: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        handed = isinstance(self.values, _Handed)
+        values = self.values.array if handed else np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise InputError(f"depth grid must be 2-D and non-empty, got shape {values.shape}")
-        valid = _readonly(np.ones(values.shape, bool) if self.valid is None else self.valid, bool)
+        valid = self.valid
+        if not _frozen_mask(valid):
+            valid = _readonly(np.ones(values.shape, bool) if valid is None else valid, bool)
         if valid.shape != values.shape:
             raise InputError(f"validity mask shape {valid.shape} != values shape {values.shape}")
-        values = np.where(valid, values, 0.0)  # the grid's copy; the one writer of invalid pixels
+        # The one writer of invalid pixels: in place in an adopted array,
+        # else in the grid's copy.
+        if handed:
+            np.copyto(values, 0.0, where=~valid)
+        else:
+            values = np.where(valid, values, 0.0)
         values.setflags(write=False)
         if not np.isfinite(values).all():
             raise InputError("non-finite depth value at a valid pixel")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "valid", valid)
+
+    @classmethod
+    def adopt(cls, values: np.ndarray, valid: np.ndarray | None = None) -> "DepthGrid":
+        """A grid that keeps `values` itself, for the library's own producers.
+
+        `values` must be a writable float64 array that the caller has just
+        made and holds nowhere else: its invalid pixels are set to +0.0
+        in place and it becomes read-only. A writable `valid` is kept the
+        same way; a read-only one, such as another grid's, is shared. The
+        checks are the constructor's.
+        """
+        if isinstance(valid, np.ndarray) and valid.flags.writeable:
+            valid = _Handed(valid, bool)
+        return cls(_Handed(values, np.float64), valid)
 
     @property
     def height(self) -> int:
@@ -86,6 +135,12 @@ class LabelGrid:
             raise InputError("region labels must be non-negative")
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def adopt(cls, labels: np.ndarray) -> "LabelGrid":
+        """A grid that keeps `labels`, a writable int32 array the caller has
+        just made and holds nowhere else, read-only and without a copy."""
+        return cls(_Handed(labels, np.int32))
+
     @property
     def height(self) -> int:
         return self.labels.shape[0]
@@ -100,11 +155,7 @@ class LabelGrid:
 
     def is_canonical(self) -> bool:
         """True when the label set is exactly {0 .. max}."""
-        flat = self.labels.ravel()
-        top = int(flat.max())
-        # A canonical grid has no more labels than pixels; checking that
-        # first keeps bincount from allocating up to a huge label.
-        return top < flat.size and bool(np.bincount(flat, minlength=top + 1).all())
+        return is_label_range(self.labels.ravel()[run_starts(self.labels)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +223,36 @@ def run_starts(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(start)
 
 
+def is_label_range(labels: np.ndarray) -> bool:
+    """True when the non-negative values of `labels` are exactly {0 .. max}.
+
+    Every label of a grid appears at one of its run starts, so the labels
+    at the run starts answer this for the whole grid.
+    """
+    top = int(labels.max())
+    # A label range has no more labels than entries; checking that first
+    # keeps bincount from allocating up to a huge label.
+    return top < labels.size and bool(np.bincount(labels, minlength=top + 1).all())
+
+
+def label_runs(run_ids: np.ndarray, starts: np.ndarray, shape: tuple[int, int]) -> LabelGrid:
+    """The canonical grid that labels each run by the first appearance of its id.
+
+    Run i starts at flat index `starts[i]` (ascending, as from
+    `run_starts`) and has id `run_ids[i]`; the ids must cover {0 .. k-1}.
+    Runs are in row-major order, so ranking each id by its first run is
+    ranking it by its first pixel. The labels are written in one int32
+    frame, which the grid adopts.
+    """
+    k = int(run_ids.max()) + 1
+    first = np.full(k, starts.size)
+    np.minimum.at(first, run_ids, np.arange(starts.size))
+    rank = np.empty(k, dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(k, dtype=np.int32)
+    out = np.repeat(rank[run_ids], np.diff(starts, append=shape[0] * shape[1]))
+    return LabelGrid.adopt(out.reshape(shape))
+
+
 def canonicalize_labels(mask: LabelGrid) -> LabelGrid:
     """Remap labels to {0 .. R-1} by order of first appearance.
 
@@ -182,15 +263,9 @@ def canonicalize_labels(mask: LabelGrid) -> LabelGrid:
     the first pixel of each horizontal run of equal labels takes part
     in the ranking.
     """
-    flat = mask.labels.ravel()
     starts = run_starts(mask.labels)
-    values, inverse = np.unique(flat[starts], return_inverse=True)
-    first = np.full(values.size, starts.size)
-    np.minimum.at(first, inverse, np.arange(starts.size))
-    rank = np.empty(values.size, dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(values.size, dtype=np.int32)
-    out = np.repeat(rank[inverse], np.diff(starts, append=flat.size))
-    return LabelGrid(out.reshape(mask.labels.shape))
+    inverse = np.unique(mask.labels.ravel()[starts], return_inverse=True)[1]
+    return label_runs(inverse, starts, mask.shape)
 
 
 def samples_to_grid(samples: SparseSamples, height: int, width: int) -> DepthGrid:
@@ -201,7 +276,7 @@ def samples_to_grid(samples: SparseSamples, height: int, width: int) -> DepthGri
     valid = np.zeros((height, width), dtype=bool)
     values[samples.rows, samples.cols] = samples.depths
     valid[samples.rows, samples.cols] = True
-    return DepthGrid(values, valid)
+    return DepthGrid.adopt(values, valid)
 
 
 def grid_to_samples(grid: DepthGrid) -> SparseSamples:

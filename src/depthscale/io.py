@@ -75,14 +75,24 @@ def _read_token(f) -> bytes:
         token += ch
 
 
+def _read_payload(f, shape: tuple[int, int], dtype, what: str) -> np.ndarray:
+    """The next H x W items of `dtype` in `f`, read straight into a new array."""
+    out = np.empty(shape, dtype=dtype)
+    if f.readinto(out) != out.nbytes:
+        raise CorruptHeader(f"truncated {what} payload")
+    return out
+
+
 def _grid_from_values(values: np.ndarray, path) -> DepthGrid:
+    """The grid that adopts `values`, a fresh float64 array."""
     finite = np.isfinite(values)
     if not finite.all():
         print(
             f"warning: {path}: {int(values.size - finite.sum())} non-finite depths marked invalid",
             file=sys.stderr,
         )
-    return DepthGrid(values, finite & (values != 0.0))
+    finite &= values != 0.0
+    return DepthGrid.adopt(values, finite)
 
 
 def _load_pfm(f) -> np.ndarray:
@@ -100,17 +110,13 @@ def _load_pfm(f) -> np.ndarray:
     _check_dims(height, width)
     if scale == 0.0:
         raise CorruptHeader("PFM scale must be nonzero")
-    dtype = "<f4" if scale < 0 else ">f4"
-    payload = f.read(height * width * 4)
-    if len(payload) != height * width * 4:
-        raise CorruptHeader("truncated PFM payload")
-    data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    data = _read_payload(f, (height, width), "<f4" if scale < 0 else ">f4", "PFM")
     return np.flipud(data).astype(np.float64)
 
 
 def _save_pfm(grid: DepthGrid, f) -> None:
     f.write(f"Pf\n{grid.width} {grid.height}\n-1.0\n".encode("ascii"))
-    f.write(np.flipud(grid.values).astype("<f4").tobytes())
+    f.write(np.ascontiguousarray(np.flipud(grid.values), dtype="<f4"))
 
 
 def _load_pgm_raw(f) -> np.ndarray:
@@ -135,11 +141,7 @@ def _load_pgm_raw(f) -> np.ndarray:
     _check_dims(height, width)
     if not 0 < maxval < 65536:
         raise CorruptHeader(f"PGM maxval {maxval} out of range")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    payload = f.read(height * width * dtype.itemsize)
-    if len(payload) != height * width * dtype.itemsize:
-        raise CorruptHeader("truncated PGM payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    return _read_payload(f, (height, width), ">u2" if maxval > 255 else "u1", "PGM")
 
 
 def _load_dpg(f) -> np.ndarray:
@@ -151,16 +153,14 @@ def _load_dpg(f) -> np.ndarray:
         raise CorruptHeader("truncated raw-grid header")
     height, width = struct.unpack("<II", header)
     _check_dims(height, width)
-    payload = f.read(height * width * 8)
-    if len(payload) != height * width * 8:
-        raise CorruptHeader("truncated raw-grid payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(height, width)
+    # native float64 on little-endian hosts: the array the grid keeps
+    return _read_payload(f, (height, width), "<f8", "raw-grid").astype(np.float64, copy=False)
 
 
 def _save_dpg(grid: DepthGrid, f) -> None:
     f.write(DPG_MAGIC)
     f.write(struct.pack("<II", grid.height, grid.width))
-    f.write(grid.values.astype("<f8").tobytes())
+    f.write(np.ascontiguousarray(grid.values, dtype="<f8"))
 
 
 def _open(path) -> object:
@@ -201,7 +201,8 @@ def load_depth(path, pgm_scale: float | None = None) -> DepthGrid:
                 scale = DEFAULT_PGM_SCALE
             if not (isinstance(scale, Real) and 0 < scale < math.inf):
                 raise InputError(f"PGM depth scale must be finite and > 0, got {scale!r}")
-            values = raw.astype(np.float64) / scale
+            values = raw.astype(np.float64)
+            values /= float(scale)
         elif magic == DPG_MAGIC:
             values = _load_dpg(f)
         else:
@@ -228,7 +229,7 @@ def save_depth(grid: DepthGrid, path) -> None:
 def load_mask(path) -> LabelGrid:
     """Load a label grid from a PGM file (label = pixel value)."""
     with _open(path) as f:
-        return LabelGrid(_load_pgm_raw(f).astype(np.int32))
+        return LabelGrid.adopt(_load_pgm_raw(f).astype(np.int32))
 
 
 def save_mask(mask: LabelGrid, path) -> None:
@@ -236,7 +237,7 @@ def save_mask(mask: LabelGrid, path) -> None:
         raise InputError("labels above 65535 cannot be stored in 16-bit PGM")
     with open(path, "wb") as f:
         f.write(f"P5\n{mask.width} {mask.height}\n65535\n".encode("ascii"))
-        f.write(mask.labels.astype(">u2").tobytes())
+        f.write(mask.labels.astype(">u2"))
 
 
 def load_samples(path) -> SparseSamples:

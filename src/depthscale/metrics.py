@@ -91,32 +91,39 @@ def evaluate(
     if count == 0:
         raise NoOverlap("no pixel is valid in both grids within the evaluation range")
     # Each mean reduces one full-length term array, as np.mean over the
-    # whole gather would; the terms are computed a block of pixels at a
-    # time, so no other full-length temporary exists.
-    abs_rel_t, sq_t, sq_log_t, log10_t = np.empty((4, count))
-    hits = [0, 0, 0]
+    # whole gather would. The terms are computed a block of pixels at a
+    # time, in two passes that fill the same two term arrays, so no other
+    # full-length array exists.
+    first, second = np.empty((2, count))
     flat_mask = mask.ravel()
     flat_p, flat_g = pred.values.ravel(), gt.values.ravel()
-    done = 0
-    for start in range(0, flat_mask.size, _BLOCK):
-        sel = flat_mask[start : start + _BLOCK]
-        p = flat_p[start : start + _BLOCK][sel]
-        g = flat_g[start : start + _BLOCK][sel]
-        span = slice(done, done + p.size)
-        done += p.size
+
+    def blocks():
+        """(span in the term arrays, pred, gt) of each block's counted pixels."""
+        done = 0
+        for start in range(0, flat_mask.size, _BLOCK):
+            sel = flat_mask[start : start + _BLOCK]
+            p = flat_p[start : start + _BLOCK][sel]
+            g = flat_g[start : start + _BLOCK][sel]
+            yield slice(done, done + p.size), p, g
+            done += p.size
+
+    hits = [0, 0, 0]
+    for span, p, g in blocks():
         diff = p - g
-        np.divide(np.abs(diff), g, out=abs_rel_t[span])
-        np.square(diff, out=sq_t[span])
-        p_log = np.maximum(p, lo)
-        np.square(np.log(p_log) - np.log(g), out=sq_log_t[span])
-        np.abs(np.log10(p_log) - np.log10(g), out=log10_t[span])
+        np.divide(np.abs(diff), g, out=first[span])
+        np.square(diff, out=second[span])
         ratio = np.maximum(p / g, g / p)
         for i in range(3):
             hits[i] += int(np.count_nonzero(ratio < 1.25 ** (i + 1)))
-    abs_rel = float(np.mean(abs_rel_t))
-    rmse = float(np.sqrt(np.mean(sq_t)))
-    rmse_log = float(np.sqrt(np.mean(sq_log_t)))
-    log10 = float(np.mean(log10_t))
+    abs_rel = float(np.mean(first))
+    rmse = float(np.sqrt(np.mean(second)))
+    for span, p, g in blocks():
+        p_log = np.maximum(p, lo)
+        np.square(np.log(p_log) - np.log(g), out=first[span])
+        np.abs(np.log10(p_log) - np.log10(g), out=second[span])
+    rmse_log = float(np.sqrt(np.mean(first)))
+    log10 = float(np.mean(second))
     # exact integer counts: the same float as np.mean over the booleans
     delta1, delta2, delta3 = (h / count for h in hits)
     return MetricReport(

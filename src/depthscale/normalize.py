@@ -54,7 +54,9 @@ def invert_depth(grid: DepthGrid, epsilon: float = DEFAULT_INVERT_EPSILON) -> De
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    return DepthGrid(1.0 / np.maximum(grid.values, epsilon), grid.valid)
+    out = np.maximum(grid.values, epsilon)
+    np.divide(1.0, out, out=out)
+    return DepthGrid.adopt(out, grid.valid)
 
 
 def affine_invariant_normalize(
@@ -77,10 +79,14 @@ def affine_invariant_normalize(
         raise DegenerateGrid(f"normalization needs at least 2 valid pixels, got {v.size}")
     if mode == MEDIAN_MAD:
         t = lower_median(v)
-        s = float(np.mean(np.abs(v - t)))
+        np.subtract(v, t, out=v)  # `v` is a copy; the deviations replace it
+        s = float(np.mean(np.abs(v, out=v)))
     else:
         t = float(np.mean(v))
         s = float(np.std(v))
+    del v
     if s <= 0.0:
         raise DegenerateGrid("constant depth map has zero spread")
-    return DepthGrid((grid.values - t) / s, grid.valid), NormalizationStats(t=t, s=s)
+    out = np.subtract(grid.values, t)
+    out /= s
+    return DepthGrid.adopt(out, grid.valid), NormalizationStats(t=t, s=s)

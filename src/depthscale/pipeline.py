@@ -257,11 +257,13 @@ def fit_regions(
             groups = [np.concatenate([graph.group(r) for r in key]) for _, key in missing]
             memo.update(zip(missing, fit_batch(kind, paired, groups, cfg.cond_max)))
         results = np.empty(distinct.size, dtype=object)
+        fitted = np.zeros(distinct.size, dtype=bool)
         for i, (key, at) in enumerate(zip(keys, hop[end[distinct] - 1].tolist())):
             params = memo[key]
             if params is not None:
                 results[i] = _placed(params, PROV_OWN if at == 0 else PROV_EXPANDED, at)
-        return np.not_equal(results, None)[inverse], results[inverse]
+                fitted[i] = True
+        return fitted[inverse], results[inverse]
 
     chosen = np.full(graph.n_regions, None, dtype=object)
     pending = np.arange(graph.n_regions)
@@ -314,12 +316,14 @@ def fit_regions(
             pass
 
     chosen = chosen.tolist()
-    if None in chosen:
+    # by identity: an == test would call FitParams.__eq__ on every region
+    unfit = next((i for i, params in enumerate(chosen) if params is None), None)
+    if unfit is not None:
         failed = [global_results[_GLOBAL_KIND[e]] for e in chain if e in _GLOBAL_KIND]
         if failed:
             raise failed[-1]
         raise InsufficientSamples(
-            f"region {chosen.index(None)}: fallback chain {chain} exhausted without a usable fit"
+            f"region {unfit}: fallback chain {chain} exhausted without a usable fit"
         )
     return chosen
 

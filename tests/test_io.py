@@ -23,6 +23,7 @@ from depthscale.errors import (
     UnknownFormat,
 )
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
+from depthscale.normalize import affine_invariant_normalize, invert_depth
 from depthscale.pipeline import PipelineConfig
 from depthscale import io
 
@@ -137,6 +138,33 @@ def test_saved_bytes_match_save_time_masking(tmp_path_factory, case):
     for suffix in (".pfm", ".dpg"):
         io.save_depth(DepthGrid(values, valid), path / f"d{suffix}")
         assert (path / f"d{suffix}").read_bytes() == reference_depth_bytes(values, valid, suffix)
+
+
+def test_saved_bytes_are_the_copies_the_writers_made_before(tmp_path):
+    # grids holding arrays adopted from loaders and producers, written
+    # from their buffers: the bytes of the former astype(...).tobytes()
+    rng = np.random.default_rng(3)
+    values, valid = rng.uniform(0.5, 5.0, (6, 9)), rng.random((6, 9)) > 0.2
+    io.save_depth(DepthGrid(values, valid), tmp_path / "in.pfm")
+    io.save_depth(DepthGrid(values, valid), tmp_path / "in.dpg")
+    loaded = [io.load_depth(tmp_path / "in.pfm"), io.load_depth(tmp_path / "in.dpg")]
+    made = [invert_depth(loaded[0]), affine_invariant_normalize(loaded[1])[0]]
+    for i, grid in enumerate(loaded + made):
+        h, w = grid.shape
+        io.save_depth(grid, tmp_path / f"{i}.dpg")
+        assert (tmp_path / f"{i}.dpg").read_bytes() == (
+            io.DPG_MAGIC + struct.pack("<II", h, w) + grid.values.astype("<f8").tobytes()
+        )
+        io.save_depth(grid, tmp_path / f"{i}.pfm")
+        assert (tmp_path / f"{i}.pfm").read_bytes() == (
+            f"Pf\n{w} {h}\n-1.0\n".encode("ascii") + np.flipud(grid.values).astype("<f4").tobytes()
+        )
+    mask = LabelGrid(rng.integers(0, 65536, (6, 9)))
+    io.save_mask(mask, tmp_path / "m.pgm")
+    assert (tmp_path / "m.pgm").read_bytes() == (
+        b"P5\n9 6\n65535\n" + mask.labels.astype(">u2").tobytes()
+    )
+    assert np.array_equal(io.load_mask(tmp_path / "m.pgm").labels, mask.labels)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])

@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+from contextlib import redirect_stdout
 from dataclasses import replace
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthscale import cli, io
 from depthscale.errors import (
     DegeneracyError,
     DepthScaleError,
@@ -256,7 +259,8 @@ def twenty_region_scene():
 @pytest.mark.parametrize("method", ["slf", "ssf", "median", "global-linear"])
 def test_rescale_peak_memory_is_a_few_grids(twenty_region_scene, method):
     # the output is written in one label-indexed pass, not one full-frame
-    # pass per region, so the peak stays a few grids whatever the region count
+    # pass per region, and grids adopt the arrays the library has just
+    # made, so the peak stays a few grids whatever the region count
     rel, mask, samples = twenty_region_scene
     tracemalloc.start()
     try:
@@ -264,7 +268,34 @@ def test_rescale_peak_memory_is_a_few_grids(twenty_region_scene, method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * rel.values.nbytes
+    assert peak < 4 * rel.values.nbytes
+
+
+def test_cli_frame_peak_memory_is_a_few_grids(twenty_region_scene, tmp_path):
+    # `depthscale rescale` then `depthscale evaluate` on files: loaders read
+    # into the arrays their grids keep, the inverse depth is dropped once
+    # inverted, and evaluate holds two term arrays, not four
+    rel, mask, samples = twenty_region_scene
+    gt = DepthGrid(np.clip(rel.values, 0.5, 9.0))  # inside the evaluation range
+    io.save_depth(DepthGrid(1.0 / rel.values), tmp_path / "depth.pfm")
+    io.save_mask(mask, tmp_path / "mask.pgm")
+    io.save_samples(samples, tmp_path / "samples.csv")
+    io.save_depth(gt, tmp_path / "gt.dpg")
+    out = str(tmp_path / "metric.dpg")
+    argvs = [
+        ["rescale", "--depth", str(tmp_path / "depth.pfm"), "--mask", str(tmp_path / "mask.pgm"),
+         "--samples", str(tmp_path / "samples.csv"), "--method", "ssf", "--out", out],
+        ["evaluate", "--pred", out, "--gt", str(tmp_path / "gt.dpg")],
+    ]
+    with redirect_stdout(StringIO()):
+        assert [cli.main(argv) for argv in argvs] == [0, 0]  # warm-up
+        tracemalloc.start()
+        try:
+            assert [cli.main(argv) for argv in argvs] == [0, 0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 7 * rel.values.nbytes
 
 
 @pytest.mark.parametrize(

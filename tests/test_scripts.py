@@ -71,3 +71,19 @@ def test_bench_pairs_smoke(tmp_path):
     assert sorted(doc["traced_medians"]) == sorted(workloads)
     assert "io.load_samples_ms" in doc["traced_medians"]["lidar-files"]
     assert "fitting.fit_calls" in doc["traced_medians"]["fragmented"]
+
+
+def test_peak_by_stage_smoke(tmp_path):
+    done = run_script(
+        "peak_by_stage.py", "--height", "48", "--width", "64", "--regions", "4", "--beams", "8",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines() if not line.startswith(("#", "stage"))]
+    stages = [row[0] for row in rows]
+    # the rescale stages in call order, the three depth loads, then the frame
+    assert stages[:4] == ["io.load_depth", "io.load_mask", "io.load_samples", "invert_depth"]
+    assert stages.count("io.load_depth") == 3 and "apply_fit" in stages and "evaluate" in stages
+    assert stages[-1] == "frame"
+    frame_peak = float(rows[-1][-1])
+    assert all(0 <= float(live) <= float(peak) <= frame_peak for _, live, peak in rows[:-1])
