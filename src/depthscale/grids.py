@@ -249,7 +249,17 @@ def label_runs(run_ids: np.ndarray, starts: np.ndarray, shape: tuple[int, int]) 
     np.minimum.at(first, run_ids, np.arange(starts.size))
     rank = np.empty(k, dtype=np.int32)
     rank[np.argsort(first)] = np.arange(k, dtype=np.int32)
-    out = np.repeat(rank[run_ids], np.diff(starts, append=shape[0] * shape[1]))
+    return paint_runs(rank[run_ids], starts, shape)
+
+
+def paint_runs(run_labels: np.ndarray, starts: np.ndarray, shape: tuple[int, int]) -> LabelGrid:
+    """The grid whose run i, starting at flat index `starts[i]`, holds `run_labels[i]`.
+
+    The labels are written in one int32 frame, which the grid adopts.
+    """
+    out = np.repeat(
+        run_labels.astype(np.int32, copy=False), np.diff(starts, append=shape[0] * shape[1])
+    )
     return LabelGrid.adopt(out.reshape(shape))
 
 

@@ -268,17 +268,20 @@ def fit_regions(
     chosen = np.full(graph.n_regions, None, dtype=object)
     pending = np.arange(graph.n_regions)
     while True:
-        # The sources within the radius of each pending region, as runs of
-        # positions; a fit can be tried where a hop's run ends.
-        wanted = np.zeros(graph.n_regions, dtype=bool)
-        wanted[pending] = True
-        region, hop, source = rings.ordered(wanted)
-        lo = np.searchsorted(region, pending)
-        ends = np.ones(region.size, dtype=bool)
-        ends[:-1] = (region[1:] != region[:-1]) | (hop[1:] != hop[:-1])
-        ends = np.flatnonzero(ends) + 1
-        stop = np.searchsorted(ends, np.searchsorted(region, pending, side="right"), side="right")
-        total = np.concatenate([[0], np.cumsum(rings.counts[source])])
+        # The sources within the radius of each region, as runs of
+        # positions; a fit can be tried where a (region, hop) group ends.
+        bounds, hop, source = rings.ordered()
+        starts = np.ones(hop.size + 1, dtype=bool)
+        np.not_equal(hop[1:], hop[:-1], out=starts[1:-1])
+        starts[bounds] = True
+        ends = np.flatnonzero(starts[1:]) + 1
+        del starts
+        # total[g]: the samples of every group before group g
+        total = rings.counts[source]
+        np.cumsum(total, out=total)
+        total = np.concatenate([[0], total[ends - 1]])
+        lo = bounds[pending]
+        stop = np.searchsorted(ends, bounds[pending + 1], side="right")
         todo = np.arange(pending.size)  # into pending
         unresolved = pending[:0]
         for position, entry in enumerate(chain):
@@ -292,7 +295,8 @@ def fit_regions(
                 continue
             kind = _REGION_KIND[entry]
             # each region's first hop end with enough samples for this entry
-            at = np.searchsorted(total[ends], total[lo[todo]] + cfg.minimum_for(kind))
+            before = total[np.searchsorted(ends, lo[todo], side="right")]
+            at = np.searchsorted(total[1:], before + cfg.minimum_for(kind))
             while (live := at < stop[todo]).any():
                 fitted, params = attempt(kind, source, hop, lo[todo[live]], ends[at[live]])
                 chosen[pending[todo[live][fitted]]] = params[fitted]
@@ -311,7 +315,7 @@ def fit_regions(
         # and enough samples for the first entry, or reaches all it can.
         pending = unresolved
         need = np.maximum(rings.reached[pending] + 1, cfg.minimum_for(_REGION_KIND[chain[0]]))
-        need = np.minimum(need, rings.component_samples[pending])
+        need = np.minimum(need, rings.component_samples)
         while (rings.reached[pending] < need).any() and rings.grow():
             pass
 

@@ -13,13 +13,16 @@ regions within a ring in ascending-id order. That order is a sort by
 (hop distance, region id), and only regions holding samples change what
 is absorbed, so `SourceRings` computes hop distances once per frame,
 from the sample-holding regions only, with one vectorized breadth-first
-step per ring for all of them together. `expand_until` keeps the
+step per ring for all of them together. It holds each (region, source)
+pair once, region-major, with int32 region and source ids: labels are
+int32, so there are fewer than 2**31 regions. `expand_until` keeps the
 ring-by-ring walk for a single origin.
 
 The split and the adjacency both work on horizontal runs of equal
 labels. A few full-frame passes find the runs, and all later work is
-per run, so the cost is O(H·W) whatever the number of label values.
-Graphs are immutable once built.
+per run, so the cost is O(H·W) whatever the number of label values. The
+split joins the runs with a union-find in rounds (hooking, then pointer
+jumping), in NumPy alone. Graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, OutOfBounds
 from .fitting import PairedObservations
@@ -38,7 +39,7 @@ from .grids import (
     SparseSamples,
     canonicalize_labels,  # noqa: F401  (the benchmark's tracer wraps it under this name)
     is_label_range,
-    label_runs,
+    paint_runs,
     run_starts,
 )
 
@@ -119,41 +120,86 @@ class RegionGraph:
 _SEEN_BUDGET = 1 << 24
 
 
+def _owners(bounds: np.ndarray) -> np.ndarray:
+    """The group of each position, for groups at positions bounds[i]:bounds[i + 1]."""
+    return np.repeat(np.arange(bounds.size - 1, dtype=np.int32), np.diff(bounds))
+
+
 class SourceRings:
     """Hop distances from every sample-holding region, grown one ring at a time.
 
-    Hop distance is symmetric, so the regions at hop h from a source are
-    exactly the regions that hold that source in their own ring h.
-    `levels[h]` pairs each region with every source at hop h from it, as
-    (regions, sources) arrays, ascending by source; `grow` adds the next
-    level, one vectorized breadth-first step for all sources together.
+    A hop pair is a (region, source) pair, where a source is a region
+    holding samples, at a given hop distance. Hop distance is symmetric,
+    so the regions at hop h from a source are exactly the regions that
+    hold that source in their own ring h. `grow` finds the pairs at the
+    next hop, one vectorized breadth-first step for all sources together;
+    `ordered` merges them into the one region-major store of every pair
+    within `radius`. Region and source ids are int32, as labels are.
     `reached[r]` counts the samples of the sources within `radius` hops
-    of region r. The sources are searched in batches whose visited tables
-    hold at most _SEEN_BUDGET bytes.
+    of region r.
+
+    The sources are searched in batches whose visited tables hold at most
+    _SEEN_BUDGET bytes. The tables live only while the rings grow:
+    `ordered` drops them, and `grow` rebuilds them from the store.
     """
 
     def __init__(self, graph: RegionGraph, max_hops: int | None = None):
         self.graph = graph
         self.max_hops = max_hops
         self.counts = graph.sample_counts
-        self.sources = np.flatnonzero(self.counts)
-        self.levels = [(self.sources, self.sources)]
+        self.sources = np.flatnonzero(self.counts).astype(np.int32)
         self.reached = self.counts.copy()
         self.radius = 0
+        # the store: region r's pairs are at positions bounds[r]:bounds[r + 1]
+        self.bounds = _bounds(self.sources, graph.n_regions)
+        self.hop = np.zeros(self.sources.size, dtype=np.int32)
+        self.source = self.sources
+        # the regions and sources of each level grown since the last `ordered`
+        self._regions: list[np.ndarray] = []
+        self._sources: list[np.ndarray] = []
         self._batches: list[tuple] | None = None
 
-    def ordered(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(region, hop, source) for the regions where `wanted` is set, within
-        `radius`, sorted by region, then hop, then source id: the order in
-        which a ring-by-ring expansion from the region absorbs the sources."""
-        picked = [wanted[regions] for regions, _ in self.levels]
-        region = np.concatenate([regions[keep] for (regions, _), keep in zip(self.levels, picked)])
-        source = np.concatenate([sources[keep] for (_, sources), keep in zip(self.levels, picked)])
-        sizes = [np.count_nonzero(keep) for keep in picked]
-        hop = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        # levels are already in (hop, source) order; a stable sort by region keeps it
-        order = np.argsort(region, kind="stable")
-        return region[order], hop[order], source[order]
+    def ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bounds, hop, source): every hop pair within `radius`, region-major.
+
+        Region r's pairs are at positions bounds[r]:bounds[r + 1] of `hop`
+        and `source`, sorted by hop, then source id: the order in which a
+        ring-by-ring expansion from the region absorbs the sources.
+        """
+        self._batches = None
+        if self._regions:
+            sizes = [region.size for region in self._regions]
+            region = np.concatenate([_owners(self.bounds), *self._regions])
+            self._regions = []
+            order = np.argsort(region, kind="stable")
+            self.bounds = _bounds(region, self.graph.n_regions)
+            del region
+            # The stored pairs come first and each level is in (hop,
+            # source) order, so the stable sort by region keeps that order.
+            self.source = np.concatenate([self.source, *self._sources])[order]
+            self._sources = []
+            hops = np.arange(self.radius - len(sizes) + 1, self.radius + 1, dtype=np.int32)
+            self.hop = np.concatenate([self.hop, np.repeat(hops, sizes)])[order]
+        return self.bounds, self.hop, self.source
+
+    def _tables(self) -> list[tuple]:
+        """Per batch of sources: its first source's index, a visited table
+        and the frontier, as flat (source in batch, region) codes, read from
+        the store, which then holds every pair found."""
+        n = self.graph.n_regions
+        code = np.searchsorted(self.sources, self.source).astype(np.int64)
+        code *= n
+        code += _owners(self.bounds)
+        last = self.hop == self.radius
+        per_batch = max(1, _SEEN_BUDGET // n)
+        batches = []
+        for first in range(0, self.sources.size, per_batch):
+            size = min(per_batch, self.sources.size - first)
+            inside = (code >= first * n) & (code < (first + size) * n)
+            seen = np.zeros(size * n, dtype=bool)
+            seen[code[inside] - first * n] = True
+            batches.append((first, seen, [code[inside & last] - first * n]))
+        return batches
 
     def grow(self) -> bool:
         """Add the next level; False at `max_hops` or once no source reaches further."""
@@ -161,16 +207,7 @@ class SourceRings:
         if not self.sources.size or self.radius == self.max_hops:
             return False
         if self._batches is None:
-            # one visited table and frontier per batch of sources, as flat
-            # (source in batch, region) codes
-            per_batch = max(1, _SEEN_BUDGET // n)
-            self._batches = []
-            for first in range(0, self.sources.size, per_batch):
-                batch = self.sources[first : first + per_batch]
-                frontier = np.arange(batch.size, dtype=np.int64) * n + batch
-                seen = np.zeros(batch.size * n, dtype=bool)
-                seen[frontier] = True
-                self._batches.append((first, seen, [frontier]))
+            self._batches = self._tables()
         regions, sources = [], []
         for first, seen, frontier in self._batches:
             local, region = np.divmod(frontier[0], n)
@@ -187,14 +224,15 @@ class SourceRings:
             seen[step] = True
             frontier[0] = step
             local, region = np.divmod(step, n)
-            regions.append(region)
+            regions.append(region.astype(np.int32))
             sources.append(self.sources[first + local])
-        level = (np.concatenate(regions), np.concatenate(sources))
-        if not level[0].size:
+        region, source = np.concatenate(regions), np.concatenate(sources)
+        if not region.size:
             return False
-        self.levels.append(level)
+        self._regions.append(region)
+        self._sources.append(source)
         self.radius += 1
-        self.reached += np.bincount(level[0], weights=self.counts[level[1]], minlength=n).astype(
+        self.reached += np.bincount(region, weights=self.counts[source], minlength=n).astype(
             np.int64
         )
         return True
@@ -203,17 +241,17 @@ class SourceRings:
         """Whether each region already reaches every source it may absorb."""
         if self.radius == self.max_hops:
             return np.ones(len(regions), dtype=bool)
-        return self.reached[regions] == self.component_samples[regions]
+        return self.reached[regions] == self.component_samples
 
     @property
-    def component_samples(self) -> np.ndarray:
-        """Samples each region can ever reach: every sample of the frame.
+    def component_samples(self) -> int:
+        """Samples any region can ever reach: every sample of the frame.
 
         A graph from `build_region_graph` is connected, since every pixel
         has a label and the pixel grid is connected under either
         connectivity, so no component pass is needed.
         """
-        return np.full(self.graph.n_regions, self.counts.sum())
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -229,30 +267,59 @@ class Expansion:
     hop: int
 
 
+def _compress(parent: np.ndarray) -> np.ndarray:
+    """Pointer jumping: each node takes its grandparent until none changes,
+    so every node then points at the root of its tree."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent = grand
+
+
+def _roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's component, for the edges a[i]–b[i].
+
+    A union-find in rounds, after Shiloach and Vishkin: each edge between
+    two trees hooks the larger root under the smaller (under the smallest
+    on offer, where edges compete for one root), then pointer jumping
+    flattens the trees. A root is never hooked under a larger node, so a
+    component's root ends as its smallest node. Each round hooks at least
+    one root while an edge joins two trees.
+    """
+    parent = np.arange(n)
+    while True:
+        pa, pb = parent[a], parent[b]
+        apart = pa != pb
+        if not apart.any():
+            return parent
+        pa, pb = pa[apart], pb[apart]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        parent = _compress(parent)
+
+
 def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
     """Split each label into its connected components and canonicalize.
 
     Pixels sharing a label but not spatially connected become separate
     regions. The output is canonical (labels = first-appearance order).
-    One connected-components pass covers every label: its nodes are the
+    One union-find pass (`_roots`) covers every label: its nodes are the
     horizontal runs of equal labels, joined where runs of the same label
     touch across rows. The cost is O(H·W) whatever the number of labels.
-    A component's runs are runs of the output too, so the components are
-    ranked by their first run and written in one pass.
+    Each component's root is its first run, so ranking the roots in run
+    order ranks the components by first appearance, and the runs are
+    written in one pass. Labels are int32, like every label grid's, so
+    there are fewer than 2**31 regions.
     """
     labels = mask.labels
     flat = labels.ravel()
     starts = run_starts(labels)
     run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
     same = flat[starts][run] == flat[pixel]
-    # `run` ascends, so the equal-label pairs fill a CSR matrix row by row.
-    n_runs = starts.size
     touched = np.searchsorted(starts, pixel[same], side="right") - 1
-    graph = csr_matrix(
-        (np.ones(touched.size), touched, _bounds(run[same], n_runs)), shape=(n_runs, n_runs)
-    )
-    _, component = connected_components(graph, directed=False)
-    return label_runs(component, starts, labels.shape)
+    root = _roots(starts.size, run[same], touched)
+    rank = np.cumsum(root == np.arange(starts.size), dtype=np.int32) - 1
+    return paint_runs(rank[root], starts, labels.shape)
 
 
 def build_region_graph(

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,3 +588,17 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, sparse_scene, capsys):
     rel, mask, samples = sparse_scene
     metric, _ = rescale(rel, mask, samples, PipelineConfig())
     assert io.load_depth(tmp_path / "b.dpg").values.tobytes() == metric.values.tobytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test-only dependency: the library and its CLI start without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, depthscale.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

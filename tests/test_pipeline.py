@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from depthscale import cli, io
 from depthscale.errors import (
@@ -28,7 +30,8 @@ from depthscale.fitting import (
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
 from depthscale.normalize import affine_invariant_normalize
-from depthscale.pipeline import PipelineConfig, RegionReport, rescale
+from depthscale.pipeline import PipelineConfig, RegionReport, fit_regions, rescale
+from depthscale.regions import SourceRings, build_region_graph, split_into_components
 from depthscale.synth import generate_scene, random_scene, sample_uniform
 from test_grids import label_grids, reference_canonicalize
 from test_regions import reference_neighbors, reference_split
@@ -269,6 +272,46 @@ def test_rescale_peak_memory_is_a_few_grids(twenty_region_scene, method):
     finally:
         tracemalloc.stop()
     assert peak < 4 * rel.values.nbytes
+
+
+@pytest.mark.parametrize("method", ["ssf", "slf"])
+def test_fit_stage_memory_is_a_few_bytes_per_hop_pair(method, monkeypatch):
+    # A fragmented 40x40 frame whose 40 samples all sit in its top-left
+    # corner, so the far regions grow the rings wide and every region ends
+    # up holding most sources: (region, source) pairs within the final
+    # radius far outnumber fits. The fit stage holds each pair once, in
+    # 32-bit ids, so what it allocates beyond the fits it returns stays
+    # under 32 bytes per pair.
+    rng = np.random.default_rng(9)
+    labels = rng.integers(0, 6, size=(40, 40))
+    depth = DepthGrid(rng.uniform(0.5, 5.0, (40, 40)))
+    picked = rng.choice(100, size=40, replace=False)
+    samples = SparseSamples(picked // 10, picked % 10, rng.uniform(0.5, 8.0, 40))
+    cfg = PipelineConfig(method=method)
+    paired = pair_observations(affine_invariant_normalize(depth, cfg.normalization)[0], samples)
+    graph = build_region_graph(split_into_components(LabelGrid(labels)), paired)
+    made = []
+    init = SourceRings.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(SourceRings, "__init__", recording)
+    tracemalloc.start()
+    try:
+        fit_regions(graph, paired, cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = graph.n_regions
+    hops = shortest_path(
+        csr_matrix((np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(n, n)),
+        unweighted=True,
+    )
+    pairs = np.count_nonzero(hops[:, graph.sample_counts > 0] <= made[0].radius)
+    assert pairs > 10 * n
+    assert peak - kept < 32 * pairs
 
 
 def test_cli_frame_peak_memory_is_a_few_grids(twenty_region_scene, tmp_path):

@@ -199,6 +199,99 @@ def test_split_and_graph_match_reference(labels, connectivity):
     assert adjacency(g) == reference_neighbors(want, connectivity)
 
 
+def spiral(n: int) -> np.ndarray:
+    """A one-pixel wall winding inwards from the top row, 1 on 0."""
+    out = np.zeros((n, n), dtype=np.int64)
+    r, c = 0, -1
+    for turn, steps in enumerate([n] + [s for s in range(n - 2, 0, -2) for _ in "ab"]):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[turn % 4]
+        for _ in range(steps):
+            r, c = r + dr, c + dc
+            out[r, c] = 1
+    return out
+
+
+def comb(h: int, w: int) -> np.ndarray:
+    """Teeth in every other column, joined by the bottom row, 1 on 0."""
+    out = np.zeros((h, w), dtype=np.int64)
+    out[:, ::2] = 1
+    out[-1] = 1
+    return out
+
+
+def serpentine(h: int, w: int) -> np.ndarray:
+    """Every other row, joined at alternating ends, 1 on 0."""
+    out = np.zeros((h, w), dtype=np.int64)
+    out[::2] = 1
+    out[1::4, -1] = 1
+    out[3::4, 0] = 1
+    return out
+
+
+def nested_rings(n: int) -> np.ndarray:
+    """Concentric square rings one pixel wide, labelled by depth mod 3."""
+    depth = np.minimum(np.arange(n), np.arange(n)[::-1])
+    return np.minimum.outer(depth, depth) % 3
+
+
+def hilbert(order: int) -> np.ndarray:
+    """A one-pixel Hilbert curve through the even cells of a (2**(order+1) - 1) square, 1 on 0."""
+    n = 2**order
+    out = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
+    previous = None
+    for d in range(n * n):
+        x = y = 0
+        s, t = 1, d
+        while s < n:
+            rx = 1 & (t // 2)
+            ry = 1 & (t ^ rx)
+            if ry == 0:
+                if rx == 1:
+                    x, y = s - 1 - x, s - 1 - y
+                x, y = y, x
+            x, y, t, s = x + s * rx, y + s * ry, t // 4, s * 2
+        out[2 * y, 2 * x] = 1
+        if previous is not None:
+            out[y + previous[1], x + previous[0]] = 1
+        previous = (x, y)
+    return out
+
+
+def orientations(labels: np.ndarray) -> list[np.ndarray]:
+    """The eight rotations and reflections, which change the order of the runs."""
+    turns = [np.rot90(labels, k) for k in range(4)]
+    return [np.ascontiguousarray(a) for a in turns + [t.T for t in turns]]
+
+
+# (mask, hooking rounds the split must take). The spirals, combs,
+# serpentines and rings join long chains of runs but collapse in one or
+# two rounds; the Hilbert curves take three to six, which random masks
+# up to 30x30 do not reach (at most four).
+WINDING_MASKS = {
+    "spiral-64": (spiral(64), 2),
+    "spiral-33": (spiral(33), 2),
+    "comb-64": (comb(64, 64), 1),
+    "comb-17x40": (comb(17, 40), 1),
+    "serpentine-64": (serpentine(64, 64), 1),
+    "serpentine-31x12": (serpentine(31, 12), 1),
+    "rings-64": (nested_rings(64), 1),
+    "rings-21": (nested_rings(21), 1),
+    "hilbert-4": (hilbert(4), 3),
+    "hilbert-5": (hilbert(5), 4),
+}
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("name", list(WINDING_MASKS))
+def test_split_matches_reference_on_winding_masks(name, connectivity):
+    mask, min_rounds = WINDING_MASKS[name]
+    for labels in orientations(mask):
+        with mock.patch.object(regions, "_compress", wraps=regions._compress) as rounds:
+            out = split_into_components(LabelGrid(labels), connectivity).labels
+        assert out.tobytes() == reference_split(labels, connectivity).tobytes()
+        assert rounds.call_count >= min_rounds
+
+
 def test_split_one_value_per_pixel():
     # every pixel its own run and, under 4-connectivity, its own region
     labels = np.arange(35).reshape(5, 7)
@@ -270,11 +363,14 @@ def test_expansion_deterministic_and_monotone(seed):
     st.integers(0, 2**31 - 1),
     st.sampled_from([None, 0, 2]),
     st.sampled_from([1 << 24, 1]),
+    st.sampled_from([1, 3]),
 )
-def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops, budget):
+def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops, budget, levels):
     # after each ring, every (region, source) pair within the radius, in
     # (region, hop, source) order, as scipy's unweighted shortest paths give
-    # them; a one-byte budget searches each source in its own batch
+    # them; a one-byte budget searches each source in its own batch. The
+    # store is read after every `levels` rings: each read drops the visited
+    # tables, which the next ring rebuilds from the store.
     mask = split_into_components(LabelGrid(labels), connectivity)
     h, w = labels.shape
     rng = np.random.default_rng(seed)
@@ -294,10 +390,13 @@ def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops,
             want = sorted(
                 (r, int(hops[r, s]), s) for r in range(n) for s, ok in zip(sources, within[r]) if ok
             )
-            got = list(zip(*(a.tolist() for a in rings.ordered(np.ones(n, dtype=bool)))))
+            bounds, hop, source = rings.ordered()
+            assert hop.dtype == source.dtype == np.int32
+            region = np.repeat(np.arange(n), np.diff(bounds))
+            got = list(zip(region.tolist(), hop.tolist(), source.tolist()))
             assert got == want
             assert rings.reached.tolist() == (within * counts[sources]).sum(axis=1).tolist()
-            if not rings.grow():
+            if not any([rings.grow() for _ in range(levels)]):
                 break
     # grown as far as it goes, every region holds what it can ever absorb
     assert max_hops is None or rings.radius <= max_hops
