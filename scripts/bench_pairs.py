@@ -6,7 +6,7 @@ changed checkout, N times each, alternating which side goes first so
 that slow spells of a shared host fall on both sides alike. Then runs
 traced pairs of every workload in BENCHMARK.json the same way, and
 writes every run plus a per-metric summary as JSON (the layout of the
-repo's BENCH_<n>.json files).
+repo's BENCH_<n>.json files), with each side's line count of `src/`.
 
 Example:
     python scripts/bench_pairs.py ../parent . --out BENCH_10.json \\
@@ -120,6 +120,11 @@ def commit_of(checkout: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under `src/`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -161,6 +166,7 @@ def main(argv=None) -> int:
         "traced_run_seconds": TRACED_SECONDS,
         "order": ORDER,
         "host": args.host,
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "all_correct": all(r["result"]["correct"] for r in every),
         "failed_frames": sum(r["result"]["failed"] for r in every),
         "summary": summarize(runs, spec),

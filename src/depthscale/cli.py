@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import DegeneracyError, InputError
 from .grids import SparseSamples
-from .metrics import evaluate
+from .metrics import METRIC_COLUMNS, evaluate
 from .normalize import NORMALIZATION_MODES, invert_depth
 from .pipeline import GLOBAL_METHODS, METHODS, NYU_CLAMP, PipelineConfig, rescale
 from . import io
@@ -147,7 +147,7 @@ def cmd_evaluate(args) -> int:
     gt = io.load_depth(args.gt, pgm_scale=args.pgm_scale)
     report = evaluate(pred, gt, args.clamp)
     row = report.row(args.image_id, args.method, args.region_aware, args.n_samples, args.seed)
-    for key in ("abs_rel", "rmse", "rmse_log", "log10", "d1", "d2", "d3", "n_valid"):
+    for key in METRIC_COLUMNS:
         print(f"{key} {row[key]}")
     if args.out:
         io.save_report([row], args.out)
@@ -176,8 +176,14 @@ def cmd_sample(args) -> int:
 
 
 def _find_scene_dirs(root: Path) -> list[Path]:
+    try:
+        found = list(root.iterdir())
+    except FileNotFoundError as err:
+        raise InputError(f"no such file: {root}") from err
+    except NotADirectoryError as err:
+        raise InputError(f"not a directory: {root}") from err
     dirs = sorted(
-        d for d in root.iterdir() if d.is_dir() and ((d / "gt.dpg").exists() or (d / "gt.pfm").exists())
+        d for d in found if d.is_dir() and ((d / "gt.dpg").exists() or (d / "gt.pfm").exists())
     )
     if not dirs:
         raise InputError(f"no scene directories under {root}")

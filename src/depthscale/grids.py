@@ -235,31 +235,17 @@ def is_label_range(labels: np.ndarray) -> bool:
     return top < labels.size and bool(np.bincount(labels, minlength=top + 1).all())
 
 
-def label_runs(run_ids: np.ndarray, starts: np.ndarray, shape: tuple[int, int]) -> LabelGrid:
-    """The canonical grid that labels each run by the first appearance of its id.
+def paint_runs(first_run: np.ndarray, starts: np.ndarray, shape: tuple[int, int]) -> LabelGrid:
+    """The canonical grid whose run i, starting at flat index `starts[i]`,
+    belongs to the region whose first run is `first_run[i]`.
 
-    Run i starts at flat index `starts[i]` (ascending, as from
-    `run_starts`) and has id `run_ids[i]`; the ids must cover {0 .. k-1}.
-    Runs are in row-major order, so ranking each id by its first run is
-    ranking it by its first pixel. The labels are written in one int32
-    frame, which the grid adopts.
+    Runs are in row-major order (`starts` ascending, as from `run_starts`),
+    so ranking the regions by their first runs ranks them by first
+    appearance. The labels are written in one int32 frame, which the grid
+    adopts.
     """
-    k = int(run_ids.max()) + 1
-    first = np.full(k, starts.size)
-    np.minimum.at(first, run_ids, np.arange(starts.size))
-    rank = np.empty(k, dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(k, dtype=np.int32)
-    return paint_runs(rank[run_ids], starts, shape)
-
-
-def paint_runs(run_labels: np.ndarray, starts: np.ndarray, shape: tuple[int, int]) -> LabelGrid:
-    """The grid whose run i, starting at flat index `starts[i]`, holds `run_labels[i]`.
-
-    The labels are written in one int32 frame, which the grid adopts.
-    """
-    out = np.repeat(
-        run_labels.astype(np.int32, copy=False), np.diff(starts, append=shape[0] * shape[1])
-    )
+    rank = np.cumsum(first_run == np.arange(first_run.size), dtype=np.int32) - 1
+    out = np.repeat(rank[first_run], np.diff(starts, append=shape[0] * shape[1]))
     return LabelGrid.adopt(out.reshape(shape))
 
 
@@ -275,7 +261,9 @@ def canonicalize_labels(mask: LabelGrid) -> LabelGrid:
     """
     starts = run_starts(mask.labels)
     inverse = np.unique(mask.labels.ravel()[starts], return_inverse=True)[1]
-    return label_runs(inverse, starts, mask.shape)
+    first = np.full(inverse.max() + 1, starts.size)
+    np.minimum.at(first, inverse, np.arange(starts.size))
+    return paint_runs(first[inverse], starts, mask.shape)
 
 
 def samples_to_grid(samples: SparseSamples, height: int, width: int) -> DepthGrid:

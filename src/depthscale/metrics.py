@@ -12,7 +12,7 @@ the rescaling pipeline always does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -21,22 +21,6 @@ from .grids import DepthGrid
 
 # Pixels per block of evaluate's elementwise terms: their temporaries stay in cache.
 _BLOCK = 1 << 14
-
-CSV_COLUMNS = (
-    "image_id",
-    "method",
-    "region_aware",
-    "n_samples",
-    "seed",
-    "abs_rel",
-    "rmse",
-    "rmse_log",
-    "log10",
-    "d1",
-    "d2",
-    "d3",
-    "n_valid",
-)
 
 
 @dataclass(frozen=True)
@@ -54,21 +38,14 @@ class MetricReport:
 
     def row(self, image_id: str, method: str, region_aware: bool, n_samples: int, seed: int) -> dict:
         """Flat record matching CSV_COLUMNS, for benchmark output."""
-        return {
-            "image_id": image_id,
-            "method": method,
-            "region_aware": str(bool(region_aware)).lower(),
-            "n_samples": n_samples,
-            "seed": seed,
-            "abs_rel": self.abs_rel,
-            "rmse": self.rmse,
-            "rmse_log": self.rmse_log,
-            "log10": self.log10,
-            "d1": self.delta1,
-            "d2": self.delta2,
-            "d3": self.delta3,
-            "n_valid": self.valid_pixel_count,
-        }
+        run = (image_id, method, str(bool(region_aware)).lower(), n_samples, seed)
+        return dict(zip(CSV_COLUMNS, run + astuple(self)))
+
+
+# The CSV column of each MetricReport field, where it is not the field's name.
+_CSV_NAMES = {"delta1": "d1", "delta2": "d2", "delta3": "d3", "valid_pixel_count": "n_valid"}
+METRIC_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(MetricReport))
+CSV_COLUMNS = ("image_id", "method", "region_aware", "n_samples", "seed") + METRIC_COLUMNS
 
 
 def evaluate(

@@ -147,13 +147,20 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Audit record for one region of a rescaling run."""
+    """Audit record for one region of a rescaling run: its fit and the
+    RMSE of the output at the region's own observations (NaN without any)."""
 
     region_id: int
     params: FitParams
-    hop: int
-    samples_used: int
     residual_rmse: float
+
+    @property
+    def hop(self) -> int:
+        return self.params.hop
+
+    @property
+    def samples_used(self) -> int:
+        return self.params.support
 
     def as_dict(self) -> dict:
         rmse = None if math.isnan(self.residual_rmse) else self.residual_rmse
@@ -375,15 +382,6 @@ def rescale(
         own = graph.group(region_id)
         predicted = out.values[paired.rows[own], paired.cols[own]]
         rmse[region_id] = float(np.sqrt(np.mean((predicted - paired.z1[own]) ** 2)))
-    reports = [
-        RegionReport(
-            region_id=region_id,
-            params=params,
-            hop=params.hop,
-            samples_used=params.support,
-            residual_rmse=region_rmse,
-        )
-        for region_id, (params, region_rmse) in enumerate(zip(chosen, rmse))
-    ]
+    reports = [RegionReport(*report) for report in zip(range(graph.n_regions), chosen, rmse)]
 
     return out, reports

@@ -90,7 +90,7 @@ class RegionGraph:
     """Per-region sample groups plus a symmetric, irreflexive adjacency, as CSR arrays.
 
     Regions are numbered by their label in the grid. The neighbours of
-    region i are `indices[indptr[i]:indptr[i + 1]]`, ascending; the
+    region i are `indices[indptr[i]:indptr[i + 1]]`, ascending int32 ids; the
     samples inside it are `sample_order[sample_bounds[i]:sample_bounds[i + 1]]`,
     ascending indices into the sample set the graph was built from.
     """
@@ -306,10 +306,9 @@ def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
     One union-find pass (`_roots`) covers every label: its nodes are the
     horizontal runs of equal labels, joined where runs of the same label
     touch across rows. The cost is O(H·W) whatever the number of labels.
-    Each component's root is its first run, so ranking the roots in run
-    order ranks the components by first appearance, and the runs are
-    written in one pass. Labels are int32, like every label grid's, so
-    there are fewer than 2**31 regions.
+    Each component's root is its first run, which `paint_runs` ranks by
+    first appearance, writing the runs in one pass. Labels are int32,
+    like every label grid's, so there are fewer than 2**31 regions.
     """
     labels = mask.labels
     flat = labels.ravel()
@@ -317,9 +316,7 @@ def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
     run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
     same = flat[starts][run] == flat[pixel]
     touched = np.searchsorted(starts, pixel[same], side="right") - 1
-    root = _roots(starts.size, run[same], touched)
-    rank = np.cumsum(root == np.arange(starts.size), dtype=np.int32) - 1
-    return paint_runs(rank[root], starts, labels.shape)
+    return paint_runs(_roots(starts.size, run[same], touched), starts, labels.shape)
 
 
 def build_region_graph(
@@ -362,7 +359,7 @@ def build_region_graph(
     region, neighbor = np.divmod(codes, n_regions)
     return RegionGraph(
         indptr=_bounds(region, n_regions),
-        indices=neighbor,
+        indices=neighbor.astype(np.int32),
         sample_bounds=_bounds(region_of, n_regions),
         sample_order=sample_order,
     )

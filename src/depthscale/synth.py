@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from numbers import Real
 from pathlib import Path
 
@@ -420,37 +420,55 @@ def scene_to_json(spec: SceneSpec) -> str:
     return json.dumps({"format_version": 1, **asdict(spec)}, indent=2, sort_keys=True) + "\n"
 
 
+def _from_fields(cls, doc, prefix: str, **given):
+    """`cls` built from the JSON object `doc`, read by the dataclass's fields.
+
+    Fields in `given` are taken from it, the others from `doc`, where a
+    field with a default may be left out. An int field must be an integer
+    >= 0, a float field a finite real, and every key must name a field;
+    otherwise InvalidSpec names the field, after `prefix`.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"scene spec field {prefix.rstrip('.')} must be an object")
+    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidSpec(f"scene spec has unknown fields {[prefix + key for key in unknown]}")
+    values = dict(given)
+    for f in (f for f in fields(cls) if f.name not in given):
+        value = doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
+        name = prefix + f.name
+        if f.type == "int" and not _is_int_at_least(value, 0):
+            raise InvalidSpec(f"scene spec field {name} must be an integer >= 0, got {value!r}")
+        finite = type(value) is not bool and isinstance(value, Real) and math.isfinite(value)
+        if f.type == "float" and not finite:
+            raise InvalidSpec(f"scene spec field {name} must be a finite number, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
+
+
 def scene_from_json(text: str) -> SceneSpec:
-    """Parse a spec written by `scene_to_json`; a count or seed that is
-    not an integer >= 0 raises InvalidSpec naming the field."""
+    """Parse a spec written by `scene_to_json`, ignoring its format_version.
+
+    Counts and the seed must be integers >= 0 and the surface and
+    distortion numbers finite; a wrong or unknown field raises InvalidSpec.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise InvalidSpec(f"scene spec is not valid JSON: {err}") from err
-
-    def count(name: str, default: int | None = None) -> int:
-        value = doc[name] if default is None else doc.get(name, default)
-        if not _is_int_at_least(value, 0):
-            raise InvalidSpec(f"scene spec field {name} must be an integer >= 0, got {value!r}")
-        return value
-
     try:
         regions = tuple(
-            RegionSpec(Plane(**r["plane"]), Distortion(**r["distortion"]))
-            for r in doc["regions"]
+            RegionSpec(
+                _from_fields(Plane, r["plane"], f"regions[{i}].plane."),
+                _from_fields(Distortion, r["distortion"], f"regions[{i}].distortion."),
+            )
+            for i, r in enumerate(doc["regions"])
         )
-        return SceneSpec(
-            height=count("height"),
-            width=count("width"),
-            layout=doc["layout"],
-            regions=regions,
-            seed=count("seed"),
-            depth_range=tuple(doc["depth_range"]),
-            grid_rows=count("grid_rows", 0),
-            grid_cols=count("grid_cols", 0),
-            sites=count("sites", 0),
+        doc = {key: value for key, value in doc.items() if key != "format_version"}
+        return _from_fields(
+            SceneSpec, doc, "", regions=regions, depth_range=tuple(doc["depth_range"])
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise InvalidSpec(f"scene spec is missing or mistypes a field: {err}") from err
 
 
@@ -459,4 +477,8 @@ def save_scene_spec(spec: SceneSpec, path) -> None:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    return scene_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError as err:
+        raise InputError(f"no such file: {path}") from err
+    return scene_from_json(text)

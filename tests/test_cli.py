@@ -602,3 +602,55 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", ["1", None, float("nan")])
+def test_synth_bad_plane_coefficient_exits_2(tmp_path, capsys, value):
+    spec = random_scene(2, height=20, width=30, region_range=(3, 3), min_region_pixels=5)
+    save_scene_spec(spec, tmp_path / "spec.json")
+    doc = json.loads((tmp_path / "spec.json").read_text())
+    doc["regions"][1]["plane"]["m"] = value
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scene spec field regions[1].plane.m must be a finite number")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+def test_missing_input_path_exits_2(tmp_path, capsys, command):
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--spec", str(missing), "--out-dir", str(out)],
+        "bench": ["bench", "--scene-dir", f"{missing}/", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+    assert not out.exists()
+
+
+def test_bench_scene_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "scenes").write_text("")
+    argv = ["bench", "--scene-dir", str(tmp_path / "scenes"), "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: not a directory: {tmp_path / 'scenes'}\n"
+
+
+def test_evaluate_prints_metrics_in_column_order(tmp_path, scene_dir, capsys):
+    scene = scene_dir / "scene00"
+    out = tmp_path / "eval.csv"
+    argv = ["evaluate", "--pred", str(scene / "rel.dpg"), "--gt", str(scene / "gt.dpg"),
+            "--image-id", "s0", "--method", "slf", "--region-aware", "--n-samples", "7",
+            "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [key for key, _ in printed] == [
+        "abs_rel", "rmse", "rmse_log", "log10", "d1", "d2", "d3", "n_valid"
+    ]
+    (row,) = read_csv(out)
+    assert list(row.items())[:5] == [
+        ("image_id", "s0"), ("method", "slf"), ("region_aware", "true"), ("n_samples", "7"),
+        ("seed", "3"),
+    ]
+    assert [(key, row[key]) for key, _ in printed] == [tuple(line) for line in printed]

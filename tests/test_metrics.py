@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthscale import metrics
+from depthscale import io, metrics
 from depthscale.errors import NoOverlap
 from depthscale.grids import DepthGrid
 from depthscale.metrics import MetricReport, evaluate
@@ -189,3 +189,54 @@ def test_blocked_evaluate_matches_reference_bit_for_bit(case, block):
         with mock.patch.object(metrics, "_BLOCK", block):
             got = evaluate(pred, gt, depth_range)
     assert repr(got) == repr(want)
+
+
+def reference_row(
+    report: MetricReport, image_id: str, method: str, region_aware: bool, n_samples: int, seed: int
+) -> dict:
+    """The field-by-field MetricReport.row it replaced."""
+    return {
+        "image_id": image_id,
+        "method": method,
+        "region_aware": str(bool(region_aware)).lower(),
+        "n_samples": n_samples,
+        "seed": seed,
+        "abs_rel": report.abs_rel,
+        "rmse": report.rmse,
+        "rmse_log": report.rmse_log,
+        "log10": report.log10,
+        "d1": report.delta1,
+        "d2": report.delta2,
+        "d3": report.delta3,
+        "n_valid": report.valid_pixel_count,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        MetricReport,
+        *[st.floats(allow_infinity=True, allow_nan=True)] * 7,
+        st.integers(0, 2**40),
+    ),
+    st.text(max_size=8),
+    st.text(max_size=8),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.integers(0, 2**31),
+)
+def test_row_matches_field_by_field_reference(report, image_id, method, region_aware, n, seed):
+    row = report.row(image_id, method, region_aware, n, seed)
+    want = reference_row(report, image_id, method, region_aware, n, seed)
+    # repr: NaN compares unequal to itself but prints alike
+    assert repr(list(row.items())) == repr(list(want.items()))
+    assert tuple(row) == metrics.CSV_COLUMNS
+
+
+def test_report_csv_header(tmp_path):
+    report = MetricReport(0.5, 1.0, float("nan"), 0.25, 0.125, 0.5, 1.0, 8)
+    io.save_report([report.row("img", "slf", True, 10, 2)], tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text() == (
+        "image_id,method,region_aware,n_samples,seed,abs_rel,rmse,rmse_log,log10,d1,d2,d3,n_valid\n"
+        "img,slf,true,10,2,0.5,1.0,nan,0.25,0.125,0.5,1.0,8\n"
+    )

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from contextlib import redirect_stdout
@@ -21,6 +22,7 @@ from depthscale.errors import (
     NoSamples,
 )
 from depthscale.fitting import (
+    FitParams,
     apply_fit,
     fit_affine,
     fit_median_ratio,
@@ -505,7 +507,7 @@ def reference_region_fits(d_in, mask, samples, cfg):
         rmse = math.nan
         if len(obs):
             rmse = float(np.sqrt(np.mean((out.values[obs.rows, obs.cols] - obs.z1) ** 2)))
-        reports.append(RegionReport(region, params, params.hop, params.support, rmse))
+        reports.append(RegionReport(region, params, rmse))
     return out, reports
 
 
@@ -553,3 +555,53 @@ def fit_stage_inputs(draw):
 def test_fit_stage_matches_reference(inputs):
     want = outcome(reference_region_fits, *inputs)
     assert outcome(rescale, *inputs) == want
+
+
+def reference_report_as_dict(r: RegionReport) -> dict:
+    """The RegionReport.as_dict of the record that stored hop and samples_used."""
+    rmse = None if math.isnan(r.residual_rmse) else r.residual_rmse
+    return {
+        "region_id": r.region_id,
+        "hop": r.params.hop,
+        "samples_used": r.params.support,
+        "residual_rmse": rmse,
+        **r.params.as_dict(),
+    }
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.builds(
+        FitParams,
+        st.sampled_from(["affine", "planar", "median"]),
+        finite, finite, finite, finite,
+        st.integers(0, 10**6),
+        finite,
+        st.sampled_from(["own", "expanded", "global"]),
+        st.integers(0, 100),
+    ),
+    st.one_of(st.just(math.nan), st.floats(0.0, 1e6)),
+)
+def test_region_report_as_dict_matches_reference(region_id, params, rmse):
+    report = RegionReport(region_id, params, rmse)
+    assert (report.hop, report.samples_used) == (params.hop, params.support)
+    assert list(report.as_dict().items()) == list(reference_report_as_dict(report).items())
+
+
+def test_region_report_json_keys(tmp_path):
+    labels = np.zeros((2, 4), dtype=np.int32)
+    labels[:, 2:] = 1
+    d_in = relative_map(3, (2, 4))
+    samples = sample_at(3.0 * d_in.values + 2.0, [(0, 2), (1, 2), (1, 3)])
+    _, reports = rescale(d_in, LabelGrid(labels), samples, PipelineConfig(clamp=WIDE_CLAMP))
+    io.save_region_reports(reports, tmp_path / "regions.json")
+    doc = json.loads((tmp_path / "regions.json").read_text())
+    assert [sorted(r) for r in doc] == 2 * [[
+        "alpha", "beta", "condition", "delta", "gamma", "hop", "kind", "provenance",
+        "region_id", "residual_rmse", "samples_used", "support",
+    ]]
+    assert doc[0]["residual_rmse"] is None and doc[0]["hop"] == 1 and doc[0]["samples_used"] == 3

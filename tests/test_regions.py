@@ -86,6 +86,7 @@ def test_chain_adjacency():
     assert adjacency(g) == ((1,), (0, 2), (1,))
     assert g.neighbors(0) == (1,)
     assert g.neighbors(1) == (0, 2)
+    assert g.indices.dtype == np.int32  # region ids, like labels
 
 
 def test_diagonal_regions_not_adjacent_under_4():

@@ -55,6 +55,8 @@ def test_bench_pairs_smoke(tmp_path):
     assert done.returncode == 0, done.stderr
     doc = json.loads(out.read_text())
     assert doc["all_correct"] and doc["failed_frames"] == 0
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src").rglob("*.py"))
+    assert doc["src_lines"] == {"parent": lines, "change": lines}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     assert [(r["pair"], r["side"], r["trace"], r.get("workload")) for r in doc["runs"]] == [

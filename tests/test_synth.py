@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,43 @@ def test_scene_spec_json_rejects_non_integer_counts(field, value):
     doc = json.loads(scene_to_json(spec))
     doc[field] = value
     with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
+        scene_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", ["1", None, True, float("nan"), float("inf"), [1.0]])
+@pytest.mark.parametrize("part,field", [("plane", "m"), ("plane", "qy"), ("distortion", "a"),
+                                        ("distortion", "noise_sigma")])
+def test_scene_spec_json_rejects_non_finite_numbers(part, field, value):
+    spec = random_scene(2, height=20, width=30, region_range=(3, 3), min_region_pixels=5)
+    doc = json.loads(scene_to_json(spec))
+    doc["regions"][2][part][field] = value
+    with pytest.raises(InvalidSpec, match=re.escape(f"regions[2].{part}.{field} must be a finite")):
+        scene_from_json(json.dumps(doc))
+
+
+def test_scene_spec_json_fields_by_dataclass():
+    spec = random_scene(3, height=20, width=30, region_range=(4, 4), layout="grid",
+                        min_region_pixels=5)
+    doc = json.loads(scene_to_json(spec))
+    # format_version is ignored, and fields with defaults may be left out
+    del doc["format_version"], doc["sites"], doc["regions"][0]["plane"]["qx"]
+    assert scene_from_json(json.dumps(doc)) == spec
+    for where in (doc, doc["regions"][1]["distortion"]):
+        where["colour"] = 1
+        with pytest.raises(InvalidSpec, match="unknown fields"):
+            scene_from_json(json.dumps(doc))
+        del where["colour"]
+    for required in ("depth_range", "layout", "height"):
+        with pytest.raises(InvalidSpec, match=required):
+            scene_from_json(json.dumps({k: v for k, v in doc.items() if k != required}))
+    for bad in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(InvalidSpec, match="missing or mistypes"):
+            scene_from_json(json.dumps({**doc, "depth_range": bad}))
+    doc["regions"][0]["plane"]["l"] = 10**400  # an int no float holds
+    with pytest.raises(InvalidSpec, match="too large"):
+        scene_from_json(json.dumps(doc))
+    doc["regions"][0]["plane"] = [1.0, 2.0, 3.0]
+    with pytest.raises(InvalidSpec, match=re.escape("regions[0].plane must be an object")):
         scene_from_json(json.dumps(doc))
 
 
