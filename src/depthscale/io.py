@@ -438,6 +438,8 @@ def load_manifest(path) -> RunManifest:
         raise InputError(f"no such file: {path}") from err
     except json.JSONDecodeError as err:
         raise CorruptHeader(f"manifest is not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise CorruptHeader(f"manifest must be a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != MANIFEST_VERSION:
         raise CorruptHeader(f"unsupported manifest version {doc.get('format_version')!r}")
     settings = {f.name: doc.pop(f.name) for f in fields(PipelineConfig) if f.name in doc}

@@ -109,8 +109,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         # JSON hands back lists; keep the config hashable and comparable.
-        object.__setattr__(self, "clamp", tuple(self.clamp))
-        object.__setattr__(self, "fallback_chain", tuple(self.fallback_chain))
+        for name in ("clamp", "fallback_chain"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(value))
+            except TypeError:
+                raise InputError(f"{name} must be a sequence, got {value!r}") from None
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
         for name, kind in (("min_samples_linear", KIND_AFFINE), ("min_samples_planar", KIND_PLANAR)):
@@ -126,15 +130,16 @@ class PipelineConfig:
             raise InputError(f"connectivity must be one of {CONNECTIVITIES}")
         if self.normalization not in NORMALIZATION_MODES:
             raise InputError(f"unknown normalization {self.normalization!r}")
-        lo, hi = self.clamp
-        if not (0.0 < lo <= hi):
-            raise InputError(f"clamp range must satisfy 0 < min <= max, got {self.clamp}")
+        clamp = self.clamp
+        numbers = all(type(v) is not bool and isinstance(v, Real) for v in clamp)
+        if not (len(clamp) == 2 and numbers and 0 < clamp[0] <= clamp[1]):
+            raise InputError(f"clamp must be two numbers with 0 < min <= max, got {clamp}")
         for entry in self.fallback_chain:
             if entry not in METHODS:
-                raise InputError(f"unknown fallback chain entry {entry!r}")
+                raise InputError(f"unknown fallback_chain entry {entry!r}; choose from {METHODS}")
         if not self.fallback_chain or self.fallback_chain[-1] not in (METHOD_MEDIAN, *GLOBAL_METHODS):
             raise InputError(
-                "fallback chain must end in a method needing <= 1 sample or a global fit"
+                "fallback_chain must end in a method needing <= 1 sample or a global fit"
             )
 
     def minimum_for(self, kind: str) -> int:

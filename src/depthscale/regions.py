@@ -13,9 +13,10 @@ regions within a ring in ascending-id order. That order is a sort by
 (hop distance, region id), and only regions holding samples change what
 is absorbed, so `SourceRings` computes hop distances once per frame,
 from the sample-holding regions only, with one vectorized breadth-first
-step per ring for all of them together. It holds each (region, source)
-pair once, region-major, with int32 region and source ids: labels are
-int32, so there are fewer than 2**31 regions. `expand_until` keeps the
+step per ring for all of them together: a ring is the neighbours of the
+last ring, less the last two rings. It holds each (region, source) pair
+once, region-major, with int32 region and source ids: labels are int32,
+so there are fewer than 2**31 regions. `expand_until` keeps the
 ring-by-ring walk for a single origin.
 
 The split and the adjacency both work on horizontal runs of equal
@@ -116,10 +117,6 @@ class RegionGraph:
         return self.sample_order[self.sample_bounds[region_id] : self.sample_bounds[region_id + 1]]
 
 
-# Bytes of visited table that one batch of breadth-first searches may hold.
-_SEEN_BUDGET = 1 << 24
-
-
 def _owners(bounds: np.ndarray) -> np.ndarray:
     """The group of each position, for groups at positions bounds[i]:bounds[i + 1]."""
     return np.repeat(np.arange(bounds.size - 1, dtype=np.int32), np.diff(bounds))
@@ -138,9 +135,11 @@ class SourceRings:
     `reached[r]` counts the samples of the sources within `radius` hops
     of region r.
 
-    The sources are searched in batches whose visited tables hold at most
-    _SEEN_BUDGET bytes. The tables live only while the rings grow:
-    `ordered` drops them, and `grow` rebuilds them from the store.
+    The graph is undirected, so a neighbour of a region at hop h from a
+    source is at hop h - 1, h or h + 1 from it: the pairs at hop h + 1
+    are the neighbours of the pairs at hop h, less the pairs at hops
+    h - 1 and h, and no visited table is needed. Only those two levels
+    are kept, as sorted int64 codes source index * n_regions + region.
     """
 
     def __init__(self, graph: RegionGraph, max_hops: int | None = None):
@@ -157,7 +156,9 @@ class SourceRings:
         # the regions and sources of each level grown since the last `ordered`
         self._regions: list[np.ndarray] = []
         self._sources: list[np.ndarray] = []
-        self._batches: list[tuple] | None = None
+        # the codes of the levels at hops radius - 1 and radius
+        n = graph.n_regions
+        self._last = (np.zeros(0, dtype=np.int64), np.arange(self.sources.size) * n + self.sources)
 
     def ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bounds, hop, source): every hop pair within `radius`, region-major.
@@ -166,7 +167,6 @@ class SourceRings:
         and `source`, sorted by hop, then source id: the order in which a
         ring-by-ring expansion from the region absorbs the sources.
         """
-        self._batches = None
         if self._regions:
             sizes = [region.size for region in self._regions]
             region = np.concatenate([_owners(self.bounds), *self._regions])
@@ -182,53 +182,38 @@ class SourceRings:
             self.hop = np.concatenate([self.hop, np.repeat(hops, sizes)])[order]
         return self.bounds, self.hop, self.source
 
-    def _tables(self) -> list[tuple]:
-        """Per batch of sources: its first source's index, a visited table
-        and the frontier, as flat (source in batch, region) codes, read from
-        the store, which then holds every pair found."""
-        n = self.graph.n_regions
-        code = np.searchsorted(self.sources, self.source).astype(np.int64)
-        code *= n
-        code += _owners(self.bounds)
-        last = self.hop == self.radius
-        per_batch = max(1, _SEEN_BUDGET // n)
-        batches = []
-        for first in range(0, self.sources.size, per_batch):
-            size = min(per_batch, self.sources.size - first)
-            inside = (code >= first * n) & (code < (first + size) * n)
-            seen = np.zeros(size * n, dtype=bool)
-            seen[code[inside] - first * n] = True
-            batches.append((first, seen, [code[inside & last] - first * n]))
-        return batches
-
     def grow(self) -> bool:
         """Add the next level; False at `max_hops` or once no source reaches further."""
         graph, n = self.graph, self.graph.n_regions
         if not self.sources.size or self.radius == self.max_hops:
             return False
-        if self._batches is None:
-            self._batches = self._tables()
-        regions, sources = [], []
-        for first, seen, frontier in self._batches:
-            local, region = np.divmod(frontier[0], n)
-            lo = graph.indptr[region]
-            degree = graph.indptr[region + 1] - lo
-            which = np.repeat(np.arange(region.size), degree)
-            at = np.arange(which.size) + np.repeat(lo - (np.cumsum(degree) - degree), degree)
-            step = local[which] * n + graph.indices[at]
-            step = step[~seen[step]]
-            step.sort()
-            fresh = np.ones(step.size, dtype=bool)
-            np.not_equal(step[1:], step[:-1], out=fresh[1:])
-            step = step[fresh]
-            seen[step] = True
-            frontier[0] = step
-            local, region = np.divmod(step, n)
-            regions.append(region.astype(np.int32))
-            sources.append(self.sources[first + local])
-        region, source = np.concatenate(regions), np.concatenate(sources)
-        if not region.size:
+        previous, current = self._last
+        local, region = np.divmod(current, n)
+        lo = graph.indptr[region]
+        degree = graph.indptr[region + 1] - lo
+        at = np.repeat(lo - (np.cumsum(degree) - degree), degree)
+        at += np.arange(at.size)
+        step = np.repeat(local, degree)
+        step *= n
+        step += graph.indices[at]
+        del at
+        # One sort finds the new pairs: with the known codes doubled and the
+        # neighbours' codes doubled plus one, a neighbour is new unless a
+        # known pair or an equal neighbour sorts just before it.
+        code = np.concatenate([previous, current, step])
+        del step
+        code <<= 1
+        code[previous.size + current.size :] += 1
+        code.sort()
+        fresh = (code & 1).astype(bool)
+        fresh[1:] &= code[1:] - code[:-1] > 1
+        step = code[fresh] >> 1
+        del code, fresh
+        if not step.size:
             return False
+        self._last = (current, step)
+        local, region = np.divmod(step, n)
+        region, source = region.astype(np.int32), self.sources[local]
         self._regions.append(region)
         self._sources.append(source)
         self.radius += 1

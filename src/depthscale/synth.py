@@ -163,8 +163,8 @@ class SceneSpec:
         if self.height < 1 or self.width < 1:
             raise InvalidSpec("scene dimensions must be positive")
         lo, hi = self.depth_range
-        if not (0.0 < lo < hi):
-            raise InvalidSpec(f"depth range must satisfy 0 < min < max, got {self.depth_range}")
+        if not (0.0 < lo < hi < math.inf):
+            raise InvalidSpec(f"depth range needs 0 < min < max < inf, got {self.depth_range}")
         if self.layout == LAYOUT_GRID:
             expected = self.grid_rows * self.grid_cols
             if self.grid_rows < 1 or self.grid_cols < 1:

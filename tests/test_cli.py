@@ -506,6 +506,11 @@ def test_fractional_sample_minimum_in_manifest_exits_2(tmp_path, sparse_scene, c
         ("seed", 1.5),
         ("noise_sigma", float("nan")),
         ("noise_sigma", -1.0),
+        ("clamp", [1, 2, 3]),
+        ("clamp", ["a", "b"]),
+        ("clamp", [0.5, None]),
+        ("clamp", 5),
+        ("fallback_chain", 5),
     ],
 )
 def test_malformed_manifest_field_exits_2(tmp_path, scene_dir, capsys, field, value):
@@ -529,6 +534,13 @@ def test_malformed_manifest_field_exits_2(tmp_path, scene_dir, capsys, field, va
     assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "metric.dpg").exists()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "run", 5, None])
+def test_manifest_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    assert main(["rescale", "--manifest", str(tmp_path / "run.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: manifest must be a JSON object")
 
 
 def test_sample_rejects_negative_noise_sigma(tmp_path, scene_dir, capsys):
@@ -615,6 +627,18 @@ def test_synth_bad_plane_coefficient_exits_2(tmp_path, capsys, value):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: scene spec field regions[1].plane.m must be a finite number")
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_infinite_depth_range_exits_2(tmp_path, capsys):
+    spec = random_scene(2, height=20, width=30, region_range=(3, 3), min_region_pixels=5)
+    save_scene_spec(spec, tmp_path / "spec.json")
+    doc = json.loads((tmp_path / "spec.json").read_text())
+    doc["depth_range"] = [1.0, float("inf")]
+    (tmp_path / "spec.json").write_text(json.dumps(doc))  # written as Infinity
+    argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: depth range needs 0 < min < max < inf")
     assert not (tmp_path / "o").exists()
 
 

@@ -353,10 +353,19 @@ def test_cli_frame_peak_memory_is_a_few_grids(twenty_region_scene, tmp_path):
         ("cond_max", 0.0),
         ("cond_max", math.nan),
         ("cond_max", math.inf),
+        ("clamp", [1, 2, 3]),
+        ("clamp", ["a", "b"]),
+        ("clamp", [0.5, None]),
+        ("clamp", [True, 2]),
+        ("clamp", [2.0, 1.0]),
+        ("clamp", 5),
+        ("fallback_chain", 5),
+        ("fallback_chain", [["median"]]),
+        ("fallback_chain", ["slf"]),
     ],
 )
 def test_config_rejects_out_of_range_hops_and_condition(field, value):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=field):
         PipelineConfig(**{field: value})
 
 

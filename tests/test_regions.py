@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -363,15 +364,14 @@ def test_expansion_deterministic_and_monotone(seed):
     st.sampled_from([4, 8]),
     st.integers(0, 2**31 - 1),
     st.sampled_from([None, 0, 2]),
-    st.sampled_from([1 << 24, 1]),
     st.sampled_from([1, 3]),
 )
-def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops, budget, levels):
+def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops, levels):
     # after each ring, every (region, source) pair within the radius, in
     # (region, hop, source) order, as scipy's unweighted shortest paths give
-    # them; a one-byte budget searches each source in its own batch. The
-    # store is read after every `levels` rings: each read drops the visited
-    # tables, which the next ring rebuilds from the store.
+    # them. The store is read after every `levels` rings: each read merges
+    # the levels grown since the last, and the next ring grows on from the
+    # last two levels all the same.
     mask = split_into_components(LabelGrid(labels), connectivity)
     h, w = labels.shape
     rng = np.random.default_rng(seed)
@@ -384,24 +384,54 @@ def test_source_rings_match_shortest_paths(labels, connectivity, seed, max_hops,
     )
     counts = g.sample_counts
     sources = np.flatnonzero(counts)
-    with mock.patch.object(regions, "_SEEN_BUDGET", budget):
-        rings = SourceRings(g, max_hops)
-        while True:
-            within = hops[:, sources] <= rings.radius
-            want = sorted(
-                (r, int(hops[r, s]), s) for r in range(n) for s, ok in zip(sources, within[r]) if ok
-            )
-            bounds, hop, source = rings.ordered()
-            assert hop.dtype == source.dtype == np.int32
-            region = np.repeat(np.arange(n), np.diff(bounds))
-            got = list(zip(region.tolist(), hop.tolist(), source.tolist()))
-            assert got == want
-            assert rings.reached.tolist() == (within * counts[sources]).sum(axis=1).tolist()
-            if not any([rings.grow() for _ in range(levels)]):
-                break
+    rings = SourceRings(g, max_hops)
+    while True:
+        within = hops[:, sources] <= rings.radius
+        want = sorted(
+            (r, int(hops[r, s]), s) for r in range(n) for s, ok in zip(sources, within[r]) if ok
+        )
+        bounds, hop, source = rings.ordered()
+        assert hop.dtype == source.dtype == np.int32
+        region = np.repeat(np.arange(n), np.diff(bounds))
+        got = list(zip(region.tolist(), hop.tolist(), source.tolist()))
+        assert got == want
+        assert rings.reached.tolist() == (within * counts[sources]).sum(axis=1).tolist()
+        if not any([rings.grow() for _ in range(levels)]):
+            break
+        assert rings.radius < n  # no hop distance reaches n
     # grown as far as it goes, every region holds what it can ever absorb
     assert max_hops is None or rings.radius <= max_hops
     assert rings.settled(np.arange(n)).all()
+
+
+@pytest.fixture(scope="module")
+def many_source_graph():
+    # 240x320 in random 2x2 blocks over 6 labels: about 12.9k regions, and
+    # 3,000 samples put about 2.6k of them among the sources
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.repeat(rng.integers(0, 6, (120, 160)), 2, axis=0), 2, axis=1)
+    picked = rng.choice(240 * 320, size=3000, replace=False)
+    samples = SparseSamples(picked // 320, picked % 320, np.ones(picked.size))
+    return build_region_graph(split_into_components(LabelGrid(labels)), samples)
+
+
+@pytest.mark.parametrize("max_hops", [1, 3])
+def test_ring_growth_memory_is_a_few_bytes_per_hop_pair(many_source_graph, max_hops):
+    # each ring is found from the last two levels alone, so growing the
+    # rings allocates a few dozen bytes per hop pair found, however many
+    # regions the frame has
+    rings = SourceRings(many_source_graph, max_hops)
+    tracemalloc.start()
+    try:
+        while rings.grow():
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rings.radius == max_hops
+    pairs = rings.ordered()[1].size
+    assert pairs > 5 * rings.sources.size
+    assert peak < 128 * pairs
 
 
 @settings(max_examples=150, deadline=None)

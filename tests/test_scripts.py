@@ -89,3 +89,17 @@ def test_peak_by_stage_smoke(tmp_path):
     assert stages[-1] == "frame"
     frame_peak = float(rows[-1][-1])
     assert all(0 <= float(live) <= float(peak) <= frame_peak for _, live, peak in rows[:-1])
+
+
+def test_full_frames_smoke(tmp_path):
+    # small, with room for the 3,000 distinct samples the script draws
+    done = run_script("full_frames.py", "--height", "60", "--width", "80", "--repeats", "1",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[2:]]
+    assert [(row[0], row[1]) for row in rows] == [
+        ("4x4", "300"), ("4x4", "3000"), ("2x2", "300"), ("2x2", "3000")
+    ]
+    for _, _, regions, fastest, median, peak, digest in rows:
+        assert int(regions) > 0 and 0 < float(fastest) <= float(median) and float(peak) > 0
+        assert len(digest) == 64

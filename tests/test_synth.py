@@ -69,6 +69,20 @@ def test_surface_leaving_range_rejected():
         generate_scene(spec)
 
 
+@pytest.mark.parametrize(
+    "depth_range", [(1.0, float("inf")), (0.0, 9.0), (9.0, 1.0), (1.0, float("nan"))]
+)
+def test_depth_range_must_be_finite_and_ordered(depth_range):
+    # an infinite maximum would make generate_scene's range check accept any surface
+    one_plane = (RegionSpec(Plane(5.0, 0.0, 2.0), Distortion("affine")),)
+    with pytest.raises(InvalidSpec, match="depth range"):
+        SceneSpec(4, 4, "grid", one_plane, 0, depth_range, grid_rows=1, grid_cols=1)
+    spec = random_scene(3, height=20, width=30, region_range=(4, 4), min_region_pixels=5)
+    doc = json.loads(scene_to_json(spec))
+    with pytest.raises(InvalidSpec, match="depth range"):
+        scene_from_json(json.dumps({**doc, "depth_range": list(depth_range)}))
+
+
 def test_region_count_must_match_layout():
     with pytest.raises(InvalidSpec):
         SceneSpec(
