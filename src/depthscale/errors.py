@@ -71,5 +71,9 @@ class DegenerateDesign(DegeneracyError):
     """The fit's design matrix is rank deficient or ill conditioned."""
 
 
+class NonFiniteFit(DegeneracyError):
+    """A fit whose parameters overflow or are undefined in 64-bit arithmetic."""
+
+
 class ZeroMedian(DegeneracyError):
     """Median-ratio scaling hit a zero median in the denominator."""

@@ -12,27 +12,35 @@ normalized-coordinate units. All arithmetic is 64-bit.
 
 There is one fit implementation, `fit_batch`, which fits many
 observation lists at once. It stacks the lists of each length n into
-(k, n) arrays and runs each reduction of a fit once on the whole stack:
+(k, n) arrays and runs every step of a fit once on the whole stack:
 max/min and sums along the last axis, k (1, n) @ (n, 1) matmuls for the
-dot products, one stacked `np.linalg.svd`, and `np.partition` along the
-last axis for the medians. Each of these does to every row exactly what
-the call on that row alone does (the same pairwise summation, the same
-BLAS dot, the same LAPACK call per matrix, the same selection), and the
-scalar steps after them round alike in NumPy and in Python floats, so a
-stacked fit is bit-identical to the fit of its list alone. `fit_affine`,
-`fit_planar` and `fit_median_ratio` are the kernel on one list, raising
-where it would return None.
+dot products, one stacked `np.linalg.svd`, `np.partition` along the
+last axis for the medians, and elementwise arithmetic for the rest.
+Each of these does to every row exactly what the call on that row alone
+does (the same pairwise summation, the same BLAS dot, the same LAPACK
+call per matrix, the same selection, the same IEEE rounding), so a
+stacked fit is bit-identical to the fit of its list alone. A fit whose
+parameters are not all finite (an underflowed variance, an overflowed
+ratio) is rejected like a degenerate one. `fit_affine`, `fit_planar`
+and `fit_median_ratio` are the kernel on one list, raising where it
+would return None.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDesign, InputError, InsufficientSamples, OutOfBounds, ZeroMedian
+from .errors import (
+    DegenerateDesign,
+    InputError,
+    InsufficientSamples,
+    NonFiniteFit,
+    OutOfBounds,
+    ZeroMedian,
+)
 from .grids import DepthGrid, LabelGrid, SparseSamples
 
 KIND_AFFINE = "affine"
@@ -43,10 +51,6 @@ FIT_KINDS = (KIND_AFFINE, KIND_PLANAR, KIND_MEDIAN)
 # Algebraic minima: 2 unknowns, 4 unknowns, 1 ratio.
 MIN_SUPPORT = {KIND_AFFINE: 2, KIND_PLANAR: 4, KIND_MEDIAN: 1}
 
-PROV_OWN = "own"
-PROV_EXPANDED = "expanded"
-PROV_GLOBAL = "global"
-
 DEFAULT_COND_MAX = 1e8
 
 # Pixels per row block of apply_fit: its per-block arrays stay in cache.
@@ -56,9 +60,9 @@ _APPLY_BLOCK = 1 << 14
 _RELATIVE_SPREAD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitParams:
-    """Parameters of one accepted fit, with provenance for audit.
+    """Parameters of one accepted fit, shared by every region placed on it.
 
     `beta` is the shift for affine fits and the x-slope for planar
     fits; `gamma` and `delta` are only meaningful for planar fits.
@@ -73,8 +77,6 @@ class FitParams:
     delta: float
     support: int
     condition: float
-    provenance: str = PROV_OWN
-    hop: int = 0
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -156,78 +158,60 @@ def pair_observations(d_rel: DepthGrid, samples: SparseSamples) -> PairedObserva
     )
 
 
-def _conditions(s: np.ndarray) -> list[float]:
-    """Condition number of each stacked design from its singular values (descending)."""
-    return [math.inf if low == 0.0 else high / low for high, low in s[:, [0, -1]].tolist()]
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row pair of (k, n) arrays, as k (1, n) @ (n, 1) matmuls."""
-    return (a[:, None, :] @ b[:, :, None]).ravel().tolist()
+    return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
 def _fit_stack(
     kind: str, obs: PairedObservations, rows, cond_max: float
-) -> tuple[list[FitParams | None], list[float]]:
+) -> tuple[list[FitParams | None], np.ndarray, np.ndarray]:
     """Fits of the observation lists obs[rows[i]], all of length n >= MIN_SUPPORT[kind].
 
     `rows` indexes each observation array into a (k, n) stack: a (k, n)
     integer array, or `np.s_[None, :]` for all observations as one list
     (a view, with nothing copied). Returns each row's FitParams, or None
-    where its fit is rejected, and each row's design condition (1.0 for
-    median-ratio). The reductions run on the whole stack; the scalar
-    steps after them run per row in Python floats, which round as
-    NumPy's float64 does. A row is solved only once it is accepted, so a
-    rejected row never divides by zero.
+    where its fit is rejected; each row's design condition (1.0 for
+    median-ratio); and whether each row's design was accepted. Every row
+    is solved, into one (k, 4) array of alpha, beta, gamma and delta,
+    with floating-point warnings off: a row is fitted only where its
+    design is accepted and its parameters are all finite, so a rejected
+    design's division by zero, or a solve that overflows or divides by
+    an underflowed zero, never reaches a FitParams.
     """
-    z1 = obs.z1[rows]
+    z1, z2 = obs.z1[rows], obs.z2[rows]
     k, n = z1.shape
-    if kind == KIND_AFFINE:
-        z2 = obs.z2[rows]
-        design = np.stack([z2, np.ones_like(z2)], axis=2)
-        condition = _conditions(np.linalg.svd(design, compute_uv=False))
-        z2_bar, z1_bar = z2.sum(axis=1) / n, z1.sum(axis=1) / n
-        dz = z2 - z2_bar[:, None]
-        params = []
-        for high, low, cov, var, m2, m1, cond in zip(
-            z2.max(axis=1).tolist(),
-            z2.min(axis=1).tolist(),
-            _row_dots(dz, z1 - z1_bar[:, None]),
-            _row_dots(dz, dz),
-            z2_bar.tolist(),
-            z1_bar.tolist(),
-            condition,
-        ):
-            if high - low <= _RELATIVE_SPREAD_TOL * max(high, -low):
-                params.append(None)  # constant z2: scale and shift are not identifiable
-            else:
-                alpha = cov / var
-                params.append(FitParams(kind, alpha, m1 - alpha * m2, 0.0, 0.0, n, cond))
-    elif kind == KIND_PLANAR:
-        z2 = obs.z2[rows]
-        design = np.stack([z2, obs.x[rows], obs.y[rows], np.ones_like(z2)], axis=2)
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-        condition = _conditions(s)
-        accepted = [
-            i for i, cond in enumerate(condition) if math.isfinite(cond) and not cond > cond_max
-        ]
-        if len(accepted) < k:
-            u, s, vt, z1 = u[accepted], s[accepted], vt[accepted], z1[accepted]
-        scaled = (np.swapaxes(u, 1, 2) @ z1[:, :, None])[:, :, 0] / s
-        coeffs = (np.swapaxes(vt, 1, 2) @ scaled[:, :, None])[:, :, 0].tolist()
-        params = [None] * k
-        for i, (alpha, beta, gamma, delta) in zip(accepted, coeffs):
-            params[i] = FitParams(kind, alpha, beta, gamma, delta, n, condition[i])
-    else:
-        mid = (n - 1) // 2
-        m2 = np.partition(obs.z2[rows], mid, axis=1)[:, mid].tolist()
-        m1 = np.partition(z1, mid, axis=1)[:, mid].tolist()
-        params = [
-            None if b == 0.0 else FitParams(kind, a / b, 0.0, 0.0, 0.0, n, 1.0)
-            for a, b in zip(m1, m2)
-        ]
-        condition = [1.0] * k
-    return params, condition
+    coeffs = np.zeros((k, 4))  # alpha, beta, gamma, delta of each row
+    with np.errstate(all="ignore"):
+        if kind == KIND_AFFINE:
+            s = np.linalg.svd(np.stack([z2, np.ones_like(z2)], axis=2), compute_uv=False)
+            condition = s[:, 0] / s[:, -1]
+            high, low = z2.max(axis=1), z2.min(axis=1)
+            # a constant z2 leaves scale and shift unidentifiable
+            accepted = high - low > _RELATIVE_SPREAD_TOL * np.maximum(high, -low)
+            z2_bar, z1_bar = z2.sum(axis=1) / n, z1.sum(axis=1) / n
+            dz = z2 - z2_bar[:, None]
+            alpha = _row_dots(dz, z1 - z1_bar[:, None]) / _row_dots(dz, dz)
+            coeffs[:, 0], coeffs[:, 1] = alpha, z1_bar - alpha * z2_bar
+        elif kind == KIND_PLANAR:
+            design = np.stack([z2, obs.x[rows], obs.y[rows], np.ones_like(z2)], axis=2)
+            u, s, vt = np.linalg.svd(design, full_matrices=False)
+            condition = s[:, 0] / s[:, -1]
+            accepted = condition <= cond_max
+            scaled = (np.swapaxes(u, 1, 2) @ z1[:, :, None])[:, :, 0] / s
+            coeffs = (np.swapaxes(vt, 1, 2) @ scaled[:, :, None])[:, :, 0]
+        else:
+            mid = (n - 1) // 2
+            m2 = np.partition(z2, mid, axis=1)[:, mid]
+            accepted = m2 != 0.0
+            coeffs[:, 0] = np.partition(z1, mid, axis=1)[:, mid] / m2
+            condition = np.ones(k)
+    fitted = accepted & np.isfinite(coeffs).all(axis=1)
+    params = [
+        FitParams(kind, *terms, n, cond) if ok else None
+        for terms, cond, ok in zip(coeffs.tolist(), condition.tolist(), fitted.tolist())
+    ]
+    return params, condition, accepted
 
 
 def fit_batch(
@@ -248,15 +232,19 @@ def fit_batch(
     params: list[FitParams | None] = [None] * len(groups)
     for n, at in by_size.items():
         if n >= MIN_SUPPORT[kind]:
-            fits, _ = _fit_stack(kind, obs, np.array([groups[i] for i in at]), cond_max)
+            fits = _fit_stack(kind, obs, np.array([groups[i] for i in at]), cond_max)[0]
             for i, fit in zip(at, fits):
                 params[i] = fit
     return params
 
 
 def _fit_all(kind: str, obs: PairedObservations, cond_max: float) -> tuple[FitParams | None, float]:
-    """One fit on every observation: its FitParams or None, and its condition."""
-    [params], [condition] = _fit_stack(kind, obs, np.s_[None, :], cond_max)
+    """One fit on every observation: its FitParams, or None where its design
+    is rejected, and its condition. Raises NonFiniteFit where the design is
+    accepted but the parameters are not all finite."""
+    [params], [condition], [accepted] = _fit_stack(kind, obs, np.s_[None, :], cond_max)
+    if accepted and params is None:
+        raise NonFiniteFit(f"{kind} fit parameters are not finite in 64-bit arithmetic")
     return params, condition
 
 

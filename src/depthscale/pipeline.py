@@ -16,8 +16,10 @@ only when some region needs them. A fit is a pure function of its kind
 and its ordered observations, so fits are memoized on (kind, ordered
 absorbed regions), rejections included: each distinct observation list
 is fitted once, and the lists that one round of attempts needs go to
-`fitting.fit_batch` together. The output is bit-deterministic for
-identical inputs and configuration.
+`fitting.fit_batch` together. How a fit was placed on a region (its
+provenance and hop) belongs to the region's report, so every region
+placed on one list shares its FitParams. The output is bit-deterministic
+for identical inputs and configuration.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ from .fitting import (
     KIND_AFFINE,
     KIND_MEDIAN,
     KIND_PLANAR,
-    PROV_EXPANDED,
-    PROV_GLOBAL,
-    PROV_OWN,
     DEFAULT_COND_MAX,
     MIN_SUPPORT,
     FitParams,
@@ -75,6 +74,12 @@ METHODS = (METHOD_SLF, METHOD_SSF, METHOD_MEDIAN, METHOD_GLOBAL_LINEAR, METHOD_G
 _REGION_KIND = {METHOD_SLF: KIND_AFFINE, METHOD_SSF: KIND_PLANAR, METHOD_MEDIAN: KIND_MEDIAN}
 _GLOBAL_KIND = {METHOD_GLOBAL_LINEAR: KIND_AFFINE, METHOD_GLOBAL_MEDIAN: KIND_MEDIAN}
 GLOBAL_METHODS = tuple(_GLOBAL_KIND)
+
+# How a region's fit was placed on it: from its own observations, from
+# those of the regions within `hop` hops, or from every observation.
+PROV_OWN = "own"
+PROV_EXPANDED = "expanded"
+PROV_GLOBAL = "global"
 
 # Gracefully reduce model complexity as data thins; the terminal global
 # fit guarantees a depth map whenever any global fit is possible.
@@ -150,18 +155,17 @@ class PipelineConfig:
         return MIN_SUPPORT[kind]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionReport:
-    """Audit record for one region of a rescaling run: its fit and the
-    RMSE of the output at the region's own observations (NaN without any)."""
+    """Audit record for one region of a rescaling run: its fit, how the fit
+    was placed on it (provenance and hop), and the RMSE of the output at
+    the region's own observations (NaN without any)."""
 
     region_id: int
     params: FitParams
+    provenance: str
+    hop: int
     residual_rmse: float
-
-    @property
-    def hop(self) -> int:
-        return self.params.hop
 
     @property
     def samples_used(self) -> int:
@@ -175,6 +179,7 @@ class RegionReport:
             "samples_used": self.samples_used,
             "residual_rmse": rmse,
             **self.params.as_dict(),
+            "provenance": self.provenance,
         }
 
 
@@ -185,13 +190,6 @@ def _effective_chain(cfg: PipelineConfig) -> tuple[str, ...]:
     if cfg.method in cfg.fallback_chain:
         return cfg.fallback_chain[cfg.fallback_chain.index(cfg.method):]
     return (cfg.method,) + cfg.fallback_chain
-
-
-def _placed(p: FitParams, provenance: str, hop: int) -> FitParams:
-    """`p` with the provenance and hop of the region it is applied to."""
-    return FitParams(
-        p.kind, p.alpha, p.beta, p.gamma, p.delta, p.support, p.condition, provenance, hop
-    )
 
 
 def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: int) -> np.ndarray:
@@ -219,17 +217,17 @@ def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: 
 
 def fit_regions(
     graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig
-) -> list[FitParams]:
-    """Each region's fit: the first entry of the fallback chain that yields one.
+) -> tuple[list[FitParams], list[str], list[int]]:
+    """Each region's fit, provenance and hop, from the first chain entry with a fit.
 
     A region entry of kind k tries the region's own observations, then
     absorbs the sample-holding regions in order of (hop distance, id), at
     most `cfg.max_hops` hops out. Only those regions change the
     observations, so a fit is tried at hop 0 and at each hop where one
     joins, on the groups of the absorbed regions concatenated in that
-    order. The first accepted fit is the region's, with provenance "own"
-    at hop 0 and "expanded" beyond. An entry that runs out of regions
-    passes to the next; a global entry fits every observation.
+    order. The first accepted fit is the region's, placed as "own" at hop
+    0 and "expanded" beyond. An entry that runs out of regions passes to
+    the next; a global entry fits every observation, placed as "global".
 
     Fits are memoized on (kind, absorbed sample-holding regions in
     order), rejections included, so each distinct observation list is
@@ -239,7 +237,8 @@ def fit_regions(
     `fit_batch` call, and only the global entries call the one-list
     fits. Hop distances come from `SourceRings`, grown only as far as the
     regions still without a fit need: not at all when every region fits
-    its first entry on its own observations.
+    its first entry on its own observations. A round in which the rings
+    cannot grow for a region still unsettled raises RuntimeError.
     """
     chain = _effective_chain(cfg)
     rings = SourceRings(graph, cfg.max_hops)
@@ -250,34 +249,30 @@ def fit_regions(
         if kind not in global_results:
             fit = fit_affine if kind == KIND_AFFINE else fit_median_ratio
             try:
-                global_results[kind] = _placed(fit(paired), PROV_GLOBAL, 0)
+                global_results[kind] = fit(paired)
             except DegeneracyError as err:
                 global_results[kind] = err
         return global_results[kind]
 
-    def attempt(kind: str, source, hop, start, end) -> tuple[np.ndarray, np.ndarray]:
-        """Fit the sources source[start:end] of each region, the last at
-        hop[end - 1]; the lists not in the memo go to one `fit_batch` call.
-        Returns which fitted, and their FitParams."""
-        run = _run_ids(source, start, end, graph.n_regions)
+    def attempt(kind: str, source, start, end) -> tuple[np.ndarray, np.ndarray]:
+        """Fit the sources source[start:end] of each region; the lists not in
+        the memo go to one `fit_batch` call. Returns which fitted, and their
+        FitParams."""
         distinct, inverse = np.unique(
-            run * (int(hop.max()) + 1) + hop[end - 1], return_index=True, return_inverse=True
+            _run_ids(source, start, end, graph.n_regions), return_index=True, return_inverse=True
         )[1:]
         keys = [(kind, tuple(source[start[i] : end[i]].tolist())) for i in distinct.tolist()]
-        missing = [key for key in dict.fromkeys(keys) if key not in memo]
+        missing = [key for key in keys if key not in memo]
         if missing:
             groups = [np.concatenate([graph.group(r) for r in key]) for _, key in missing]
             memo.update(zip(missing, fit_batch(kind, paired, groups, cfg.cond_max)))
-        results = np.empty(distinct.size, dtype=object)
-        fitted = np.zeros(distinct.size, dtype=bool)
-        for i, (key, at) in enumerate(zip(keys, hop[end[distinct] - 1].tolist())):
-            params = memo[key]
-            if params is not None:
-                results[i] = _placed(params, PROV_OWN if at == 0 else PROV_EXPANDED, at)
-                fitted[i] = True
+        results = np.fromiter((memo[key] for key in keys), dtype=object, count=len(keys))
+        fitted = np.array([params is not None for params in results.tolist()], dtype=bool)
         return fitted[inverse], results[inverse]
 
     chosen = np.full(graph.n_regions, None, dtype=object)
+    # the hop of each placed fit, -1 for a global one
+    placed = np.zeros(graph.n_regions, dtype=np.int32)
     pending = np.arange(graph.n_regions)
     while True:
         # The sources within the radius of each region, as runs of
@@ -303,6 +298,7 @@ def fit_regions(
                 result = global_fit(_GLOBAL_KIND[entry])
                 if isinstance(result, FitParams):
                     chosen[pending[todo]] = result
+                    placed[pending[todo]] = -1
                     todo = todo[:0]
                 continue
             kind = _REGION_KIND[entry]
@@ -310,8 +306,11 @@ def fit_regions(
             before = total[np.searchsorted(ends, lo[todo], side="right")]
             at = np.searchsorted(total[1:], before + cfg.minimum_for(kind))
             while (live := at < stop[todo]).any():
-                fitted, params = attempt(kind, source, hop, lo[todo[live]], ends[at[live]])
-                chosen[pending[todo[live][fitted]]] = params[fitted]
+                end = ends[at[live]]
+                fitted, params = attempt(kind, source, lo[todo[live]], end)
+                regions = pending[todo[live][fitted]]
+                chosen[regions] = params[fitted]
+                placed[regions] = hop[end[fitted] - 1]
                 at[live] += 1
                 keep = ~live
                 keep[live] = ~fitted
@@ -328,8 +327,11 @@ def fit_regions(
         pending = unresolved
         need = np.maximum(rings.reached[pending] + 1, cfg.minimum_for(_REGION_KIND[chain[0]]))
         need = np.minimum(need, rings.component_samples)
+        radius = rings.radius
         while (rings.reached[pending] < need).any() and rings.grow():
             pass
+        if rings.radius == radius:
+            raise RuntimeError(f"hop rings stopped growing, {pending.size} unsettled region(s) left")
 
     chosen = chosen.tolist()
     # by identity: an == test would call FitParams.__eq__ on every region
@@ -341,7 +343,10 @@ def fit_regions(
         raise InsufficientSamples(
             f"region {unfit}: fallback chain {chain} exhausted without a usable fit"
         )
-    return chosen
+    # the sign picks own (hop 0), expanded (hop > 0) or global (-1); names
+    # in an object array, since a str array would take 32 bytes per region
+    provenance = np.array([PROV_OWN, PROV_EXPANDED, PROV_GLOBAL], dtype=object)[np.sign(placed)]
+    return chosen, provenance.tolist(), np.maximum(placed, 0).tolist()
 
 
 def rescale(
@@ -379,7 +384,7 @@ def rescale(
     paired = pair_observations(working, samples)
     graph = build_region_graph(region_mask, paired, cfg.connectivity)
 
-    chosen = fit_regions(graph, paired, cfg)
+    chosen, provenance, hop = fit_regions(graph, paired, cfg)
     out = apply_fit(working, region_mask, chosen, cfg.clamp)
 
     rmse = [float("nan")] * graph.n_regions
@@ -387,6 +392,6 @@ def rescale(
         own = graph.group(region_id)
         predicted = out.values[paired.rows[own], paired.cols[own]]
         rmse[region_id] = float(np.sqrt(np.mean((predicted - paired.z1[own]) ** 2)))
-    reports = [RegionReport(*report) for report in zip(range(graph.n_regions), chosen, rmse)]
+    reports = [RegionReport(*r) for r in zip(range(graph.n_regions), chosen, provenance, hop, rmse)]
 
     return out, reports

@@ -678,3 +678,39 @@ def test_evaluate_prints_metrics_in_column_order(tmp_path, scene_dir, capsys):
         ("seed", "3"),
     ]
     assert [(key, row[key]) for key, _ in printed] == [tuple(line) for line in printed]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_affine_fit_whose_variance_underflows_expands(tmp_path, capsys):
+    # Region 1 (rows 2-3) holds relative depths near 1e-170: its own
+    # affine fit passes the spread test, but the centred squares underflow
+    # to zero. That fit is rejected, so the region expands.
+    from depthscale.grids import LabelGrid, SparseSamples
+
+    values = np.empty((4, 4))
+    values[:2] = np.linspace(-2.0, 2.0, 8).reshape(2, 4)
+    values[2:] = np.linspace(1e-170, 4e-170, 8).reshape(2, 4)
+    labels = np.zeros((4, 4), dtype=np.int32)
+    labels[2:] = 1
+    pixels = [(0, 0), (0, 3), (2, 0), (2, 1), (3, 2)]
+    io.save_depth(DepthGrid(values), tmp_path / "rel.dpg")
+    io.save_mask(LabelGrid(labels), tmp_path / "mask.pgm")
+    io.save_samples(
+        SparseSamples.from_points([(r, c, 1.0 + r + 0.5 * c) for r, c in pixels]),
+        tmp_path / "samples.csv",
+    )
+    out = tmp_path / "metric.dpg"
+    code = main(
+        [
+            "rescale",
+            "--depth", str(tmp_path / "rel.dpg"),
+            "--mask", str(tmp_path / "mask.pgm"),
+            "--samples", str(tmp_path / "samples.csv"),
+            "--already-depth",
+            "--method", "slf",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / "metric.dpg.regions.json").read_text())
+    assert [(r["provenance"], r["hop"]) for r in doc] == [("own", 0), ("expanded", 1)]

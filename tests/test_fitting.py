@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -12,6 +13,7 @@ from depthscale.errors import (
     DegenerateDesign,
     InputError,
     InsufficientSamples,
+    NonFiniteFit,
     ZeroMedian,
 )
 from depthscale.fitting import (
@@ -179,8 +181,6 @@ def reference_as_dict(p: FitParams) -> dict:
         "delta": p.delta,
         "support": p.support,
         "condition": p.condition,
-        "provenance": p.provenance,
-        "hop": p.hop,
     }
 
 
@@ -190,7 +190,7 @@ def test_as_dict_matches_field_by_field_reference():
     x, y = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
     obs = obs_from(z2, z1, x, y)
     fits = [fit_affine(obs), fit_planar(obs), fit_median_ratio(obs)]
-    fits.append(FitParams("planar", 1.5, -0.25, 2.0, 3.0, 7, 12.5, "expanded", 2))
+    fits.append(FitParams("planar", 1.5, -0.25, 2.0, 3.0, 7, 12.5))
     for p in fits:
         assert list(p.as_dict().items()) == list(reference_as_dict(p).items())
 
@@ -433,7 +433,7 @@ def _reference_condition(design: np.ndarray) -> float:
     s = np.linalg.svd(design, compute_uv=False)
     if s[-1] == 0.0:
         return float("inf")
-    return float(s[0] / s[-1])
+    return float(s[0]) / float(s[-1])  # overflows to inf, as Python floats do
 
 
 def reference_fit_affine(obs: PairedObservations) -> FitParams:
@@ -448,11 +448,15 @@ def reference_fit_affine(obs: PairedObservations) -> FitParams:
     z2_bar = float(np.mean(z2))
     z1_bar = float(np.mean(z1))
     dz = z2 - z2_bar
-    alpha = float(dz @ (z1 - z1_bar)) / float(dz @ dz)
+    var = float(dz @ dz)
+    alpha = float(dz @ (z1 - z1_bar)) / var if var else math.nan  # x / 0 is not finite
+    beta = z1_bar - alpha * z2_bar
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise NonFiniteFit("affine fit parameters are not finite in 64-bit arithmetic")
     return FitParams(
         kind=KIND_AFFINE,
         alpha=alpha,
-        beta=z1_bar - alpha * z2_bar,
+        beta=beta,
         gamma=0.0,
         delta=0.0,
         support=n,
@@ -467,12 +471,14 @@ def reference_fit_planar(obs: PairedObservations, cond_max: float = DEFAULT_COND
         raise InsufficientSamples(f"planar fit needs >= 4 observations, got {n}")
     design = np.column_stack([obs.z2, obs.x, obs.y, np.ones(n)])
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
+    cond = float("inf") if s[-1] == 0.0 else float(s[0]) / float(s[-1])
     if not np.isfinite(cond) or cond > cond_max:
         raise DegenerateDesign(
             f"planar design condition {cond:.3e} exceeds {cond_max:.1e} (rank-deficient or near it)"
         )
     coeffs = vt.T @ ((u.T @ obs.z1) / s)
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteFit("planar fit parameters are not finite in 64-bit arithmetic")
     return FitParams(
         kind=KIND_PLANAR,
         alpha=float(coeffs[0]),
@@ -493,6 +499,8 @@ def reference_fit_median_ratio(obs: PairedObservations) -> FitParams:
     if m2 == 0.0:
         raise ZeroMedian("median of relative depths is zero")
     alpha = lower_median(obs.z1) / m2
+    if not math.isfinite(alpha):
+        raise NonFiniteFit("median fit parameters are not finite in 64-bit arithmetic")
     return FitParams(
         kind=KIND_MEDIAN,
         alpha=alpha,
@@ -509,7 +517,7 @@ REFERENCE_FITS = {
     KIND_PLANAR: (reference_fit_planar, fit_planar),
     KIND_MEDIAN: (reference_fit_median_ratio, lambda obs, cond_max: fit_median_ratio(obs)),
 }
-Z2_SHAPES = ("random", "ties", "constant", "planar", "zero-median")
+Z2_SHAPES = ("random", "ties", "constant", "planar", "zero-median", "tiny")
 
 
 @st.composite
@@ -519,7 +527,9 @@ def observation_stacks(draw):
     Sizes repeat, so most lengths make a stack of several lists, and they
     cross NumPy's pairwise-summation blocks of 8 and 128. Besides random
     z2, a list may hold few distinct z2 values, a constant z2, a planar
-    z2 = a*x + b*y + c or a z2 whose lower median is zero.
+    z2 = a*x + b*y + c, a z2 whose lower median is zero, or a tiny z2
+    near 1e-170 or 1e-310, whose centred squares underflow to zero and
+    whose median ratio may overflow.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     lengths = draw(st.lists(st.integers(1, 300) | st.integers(1, 12), min_size=1, max_size=4))
@@ -540,6 +550,8 @@ def observation_stacks(draw):
         elif shape == "zero-median":
             z2 = rng.uniform(-2.0, 2.0, n)
             z2[np.argsort(z2)[(n - 1) // 2]] = 0.0
+        elif shape == "tiny":
+            z2 *= rng.choice([1e-170, 1e-310])
         for name, values in zip(columns, (rng.uniform(0.1, 8.0, n), z2, x, y)):
             columns[name].append(values)
     total = sum(n for n, _ in lists)
@@ -562,6 +574,7 @@ def fit_outcome(fit, *args):
     return params, repr(params.as_dict())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(observation_stacks(), st.sampled_from((KIND_AFFINE, KIND_PLANAR, KIND_MEDIAN)))
 def test_fit_batch_matches_scalar_fits_bit_for_bit(case, kind):
@@ -577,3 +590,25 @@ def test_fit_batch_matches_scalar_fits_bit_for_bit(case, kind):
             assert (params, repr(params.as_dict())) == want
         else:
             assert params is None
+
+
+# ------------------------------------------------------- non-finite fits
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_affine_fit_whose_variance_underflows_is_rejected():
+    # the z2 spread passes the constant test, but its centred squares
+    # (about 1e-340) underflow to zero, so alpha would be inf
+    obs = obs_from([1e-170, 2e-170, 3e-170], [1.0, 2.0, 3.0])
+    with pytest.raises(NonFiniteFit, match="affine fit parameters are not finite"):
+        fit_affine(obs)
+    assert fit_batch(KIND_AFFINE, obs, [np.arange(3)]) == [None]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_median_ratio_that_overflows_is_rejected():
+    obs = obs_from([5e-324, 5e-324, 1.0], [10.0, 10.0, 10.0])
+    with pytest.raises(NonFiniteFit, match="median fit parameters are not finite"):
+        fit_median_ratio(obs)
+    fits = fit_batch(KIND_MEDIAN, obs, [np.arange(3), np.array([2]), np.array([0])])
+    assert fits == [None, fit_median_ratio(obs.take(np.array([2]))), None]

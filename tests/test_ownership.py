@@ -45,7 +45,7 @@ def library_grids(tmp_path):
     rel = DepthGrid(values, valid)
     mask = LabelGrid(labels)
     samples = SparseSamples(np.array([0, 1, 2]), np.array([0, 2, 2]), np.array([2.0, 3.0, 4.0]))
-    params = [FitParams("affine", 2.0, 0.5, 0.0, 0.0, 3, 1.0, "own", 0)] * 3
+    params = [FitParams("affine", 2.0, 0.5, 0.0, 0.0, 3, 1.0)] * 3
     normalized, _ = affine_invariant_normalize(rel)
     metric, _ = rescale(rel, mask, samples, PipelineConfig(min_samples_linear=2))
     io.save_depth(rel, tmp_path / "rel.pfm")

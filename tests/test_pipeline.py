@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from contextlib import redirect_stdout
-from dataclasses import replace
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,8 +57,9 @@ def reports_equal(a, b):
     if len(a) != len(b):
         return False
     for ra, rb in zip(a, b):
-        if (ra.region_id, ra.hop, ra.samples_used, ra.params) != (
+        if (ra.region_id, ra.provenance, ra.hop, ra.samples_used, ra.params) != (
             rb.region_id,
+            rb.provenance,
             rb.hop,
             rb.samples_used,
             rb.params,
@@ -83,7 +88,7 @@ def test_single_region_slf_equals_global_linear():
     from_global, _ = rescale(d_in, uniform_mask(d_in.shape), samples, global_cfg)
     assert np.array_equal(from_rescale.values, from_global.values)
     assert len(reports) == 1
-    assert reports[0].params.provenance == "own"
+    assert reports[0].provenance == "own"
 
 
 def test_two_region_exact_recovery():
@@ -109,10 +114,10 @@ def test_expansion_provenance():
     gt = 3.0 * d_in.values + 2.0
     samples = sample_at(gt, [(0, 0), (0, 2), (1, 2), (1, 3)])
     out, reports = rescale(d_in, LabelGrid(labels), samples, PipelineConfig(clamp=WIDE_CLAMP))
-    assert reports[0].params.provenance == "expanded"
+    assert reports[0].provenance == "expanded"
     assert reports[0].hop == 1
     assert reports[0].samples_used == 4
-    assert reports[1].params.provenance == "own"
+    assert reports[1].provenance == "own"
     assert np.abs(out.values - gt).max() < 1e-9
 
 
@@ -401,12 +406,23 @@ def test_regions_fitting_on_their_own_compute_no_hop_distances(twenty_region_sce
     monkeypatch.setattr(SourceRings, "grow", unexpected)
     monkeypatch.setattr(SourceRings, "component_samples", property(unexpected))
     _, reports = rescale(*twenty_region_scene, PipelineConfig(method="slf"))
-    assert {r.params.provenance for r in reports} == {"own"}
+    assert {r.provenance for r in reports} == {"own"}
+
+
+def sparse_fragments():
+    """Many small regions and few samples, so most regions expand and many
+    reach the same sample-holding regions in the same order."""
+    rng = np.random.default_rng(11)
+    labels = np.kron(rng.integers(0, 4, size=(10, 12)), np.ones((2, 2), dtype=np.int64))
+    h, w = labels.shape
+    d_in = DepthGrid(rng.uniform(0.5, 5.0, (h, w)))
+    picked = rng.choice(h * w, size=7, replace=False)
+    samples = SparseSamples(picked // w, picked % w, rng.uniform(0.5, 8.0, picked.size))
+    return d_in, LabelGrid(labels), samples
+
 
 @pytest.mark.parametrize("method", ["ssf", "slf", "median"])
 def test_rescale_fits_each_observation_list_once(monkeypatch, method):
-    # many small regions and few samples, so most regions expand and many
-    # reach the same sample-holding regions in the same order
     import depthscale.pipeline as pipeline
 
     calls = []
@@ -416,16 +432,69 @@ def test_rescale_fits_each_observation_list_once(monkeypatch, method):
         return _fit(kind, obs, groups, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "fit_batch", recording)
-    rng = np.random.default_rng(11)
-    labels = np.kron(rng.integers(0, 4, size=(10, 12)), np.ones((2, 2), dtype=np.int64))
-    h, w = labels.shape
-    d_in = DepthGrid(rng.uniform(0.5, 5.0, (h, w)))
-    picked = rng.choice(h * w, size=7, replace=False)
-    samples = SparseSamples(picked // w, picked % w, rng.uniform(0.5, 8.0, picked.size))
-    _, reports = rescale(d_in, LabelGrid(labels), samples, PipelineConfig(method=method))
-    expanded = sum(r.params.provenance == "expanded" for r in reports)
+    _, reports = rescale(*sparse_fragments(), PipelineConfig(method=method))
+    expanded = sum(r.provenance == "expanded" for r in reports)
     assert expanded > len(calls) > 1
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("method", ["ssf", "slf", "median"])
+def test_regions_placed_on_one_fit_share_it(monkeypatch, method):
+    # A fit belongs to its observation list, its placement to the region:
+    # every region placed on a list's fit holds that one object, with its
+    # own provenance and hop, also where two regions reach the list at
+    # different hops.
+    import depthscale.pipeline as pipeline
+
+    fits = []
+
+    def recording(*args, _fit=pipeline.fit_batch, **kwargs):
+        params = _fit(*args, **kwargs)
+        fits.extend(p for p in params if p is not None)
+        return params
+
+    monkeypatch.setattr(pipeline, "fit_batch", recording)
+    _, reports = rescale(*sparse_fragments(), PipelineConfig(method=method))
+    across_hops = 0
+    for fit in fits:
+        placed = [r for r in reports if r.params == fit]
+        assert all(r.params is fit for r in placed)
+        assert all(r.provenance == ("own" if r.hop == 0 else "expanded") for r in placed)
+        across_hops += len({r.hop for r in placed}) > 1
+    assert across_hops
+
+
+def test_fit_stage_raises_when_the_rings_stop_growing():
+    # Region 0 holds one sample and slf needs two, so it must expand; with
+    # a `grow` that adds nothing, the fit stage must raise, not spin. It
+    # runs in a subprocess, so that a spin fails on the timeout instead of
+    # hanging the suite.
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
+        from depthscale.pipeline import PipelineConfig, rescale
+        from depthscale.regions import SourceRings
+
+        SourceRings.grow = lambda self: False
+        labels = np.zeros((2, 4), dtype=np.int32)
+        labels[:, 2:] = 1
+        d_in = DepthGrid(np.random.default_rng(3).uniform(1.0, 3.0, (2, 4)))
+        samples = SparseSamples([0, 0, 1, 1], [0, 2, 2, 3], [1.0, 2.0, 3.0, 4.0])
+        rescale(d_in, LabelGrid(labels), samples, PipelineConfig(method="slf"))
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert "RuntimeError: hop rings stopped growing, 1 unsettled region(s) left" in done.stderr
+
 
 def reference_region_fits(d_in, mask, samples, cfg):
     """The fit stage as a slow, obvious oracle for `rescale`.
@@ -475,7 +544,7 @@ def reference_region_fits(d_in, mask, samples, cfg):
             fit, minimum = fits[entry]
             if minimum is None:
                 try:
-                    params = replace(fit(paired), provenance="global", hop=0)
+                    params, placement = fit(paired), ("global", 0)
                 except DegeneracyError as err:
                     last_error = err
                     continue
@@ -499,7 +568,7 @@ def reference_region_fits(d_in, mask, samples, cfg):
                 accumulated += [i for r in ring for i in own[r]]
                 frontier, hop = ring, hop + 1
             if params is not None:
-                params = replace(params, provenance="own" if hop == 0 else "expanded", hop=hop)
+                placement = ("own" if hop == 0 else "expanded", hop)
                 break
         if params is None:
             if last_error is not None:
@@ -507,16 +576,16 @@ def reference_region_fits(d_in, mask, samples, cfg):
             raise InsufficientSamples(
                 f"region {region}: fallback chain {chain} exhausted without a usable fit"
             )
-        chosen.append(params)
+        chosen.append((params, placement))
 
-    out = apply_fit(working, LabelGrid(labels), chosen, cfg.clamp)
+    out = apply_fit(working, LabelGrid(labels), [params for params, _ in chosen], cfg.clamp)
     reports = []
-    for region, params in enumerate(chosen):
+    for region, (params, placement) in enumerate(chosen):
         obs = obs_for(own[region])
         rmse = math.nan
         if len(obs):
             rmse = float(np.sqrt(np.mean((out.values[obs.rows, obs.cols] - obs.z1) ** 2)))
-        reports.append(RegionReport(region, params, rmse))
+        reports.append(RegionReport(region, params, *placement, rmse))
     return out, reports
 
 
@@ -567,14 +636,21 @@ def test_fit_stage_matches_reference(inputs):
 
 
 def reference_report_as_dict(r: RegionReport) -> dict:
-    """The RegionReport.as_dict of the record that stored hop and samples_used."""
-    rmse = None if math.isnan(r.residual_rmse) else r.residual_rmse
+    """The RegionReport.as_dict of the records that kept the placement on the
+    fit, field by field: the keys in the order the report JSON was written."""
     return {
         "region_id": r.region_id,
-        "hop": r.params.hop,
+        "hop": r.hop,
         "samples_used": r.params.support,
-        "residual_rmse": rmse,
-        **r.params.as_dict(),
+        "residual_rmse": None if math.isnan(r.residual_rmse) else r.residual_rmse,
+        "kind": r.params.kind,
+        "alpha": r.params.alpha,
+        "beta": r.params.beta,
+        "gamma": r.params.gamma,
+        "delta": r.params.delta,
+        "support": r.params.support,
+        "condition": r.params.condition,
+        "provenance": r.provenance,
     }
 
 
@@ -590,14 +666,14 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
         finite, finite, finite, finite,
         st.integers(0, 10**6),
         finite,
-        st.sampled_from(["own", "expanded", "global"]),
-        st.integers(0, 100),
     ),
+    st.sampled_from(["own", "expanded", "global"]),
+    st.integers(0, 100),
     st.one_of(st.just(math.nan), st.floats(0.0, 1e6)),
 )
-def test_region_report_as_dict_matches_reference(region_id, params, rmse):
-    report = RegionReport(region_id, params, rmse)
-    assert (report.hop, report.samples_used) == (params.hop, params.support)
+def test_region_report_as_dict_matches_reference(region_id, params, provenance, hop, rmse):
+    report = RegionReport(region_id, params, provenance, hop, rmse)
+    assert report.samples_used == params.support
     assert list(report.as_dict().items()) == list(reference_report_as_dict(report).items())
 
 
