@@ -24,7 +24,6 @@ import json
 import math
 import struct
 import sys
-import warnings
 from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from numbers import Real
@@ -108,8 +107,8 @@ def _load_pfm(f) -> np.ndarray:
     except ValueError as err:
         raise CorruptHeader(f"malformed PFM header: {err}") from err
     _check_dims(height, width)
-    if scale == 0.0:
-        raise CorruptHeader("PFM scale must be nonzero")
+    if not (scale and math.isfinite(scale)):
+        raise CorruptHeader(f"PFM scale must be finite and nonzero, got {scale!r}")
     data = _read_payload(f, (height, width), "<f4" if scale < 0 else ">f4", "PFM")
     return np.flipud(data).astype(np.float64)
 
@@ -271,16 +270,12 @@ def _samples_in_one_call(body: str, path) -> SparseSamples | None:
     row-by-row parser gives the exact result: the call raises or skips a line."""
     if not body.strip():  # loadtxt warns on input without data
         return None
-    try:
-        with warnings.catch_warnings():
-            # NumPy releases that still read an int field such as "1.5"
-            # or 2**63 through a float only warn that this is deprecated.
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(
-                StringIO(body), dtype=_SAMPLE_DTYPE, delimiter=",", comments=None,
-                quotechar=None, ndmin=1,
-            )
-    except (ValueError, DeprecationWarning):  # also at a lone \r line end, which csv accepts
+    try:  # an int field such as "1.5" or 2**63 raises, for the row parser to name
+        table = np.loadtxt(
+            StringIO(body), dtype=_SAMPLE_DTYPE, delimiter=",", comments=None,
+            quotechar=None, ndmin=1,
+        )
+    except ValueError:  # also at a lone \r line end, which csv accepts
         return None
     # loadtxt skips empty lines; with none skipped, table row i is file line i + 2
     if len(table) != body.count("\n") + (not body.endswith("\n")):

@@ -1,11 +1,11 @@
 """End-to-end region-aware rescaling of relative depth to metric depth.
 
-`rescale` normalizes the input map, extracts regions from the mask,
-fits each region's transform from the sparse measurements inside it,
-and writes the metric depth map in one pass that applies each pixel's
-own region fit, looked up by its label. Expanded fits are applied only
-to the origin region's own pixels, so absorbed neighbors keep their
-independently fitted parameters.
+`rescale` normalizes the input map, extracts regions from the mask, fits
+each region's transform from the sparse measurements inside it, and
+writes the metric depth map in one pass that applies each pixel's own
+region fit, looked up by its label. Expanded fits are applied only to
+the origin region's own pixels, so absorbed neighbors keep their own
+fits. Median-ratio fits, fallbacks too, use the raw map.
 
 `fit_regions` is the fit stage. A region too thin for its fit kind, or
 whose own fit is rejected, absorbs the sample-holding regions in order
@@ -13,30 +13,24 @@ of (hop distance, region id), trying a fit at each hop where one joins;
 when that runs out it walks a fallback chain of simpler fit kinds,
 ending in a global fit. Hop distances are computed once per frame, and
 only when some region needs them. A fit is a pure function of its kind
-and its ordered observations, so fits are memoized on (kind, ordered
-absorbed regions), rejections included: each distinct observation list
-is fitted once, and the lists that one round of attempts needs go to
-`fitting.fit_batch` together. How a fit was placed on a region (its
-provenance and hop) belongs to the region's report, so every region
-placed on one list shares its FitParams. The output is bit-deterministic
-for identical inputs and configuration.
+and its ordered observations, so it is memoized, rejections included: a
+region entry's on (kind, ordered absorbed regions), a global entry's on
+(kind, None) for every observation. Each round's missing lists go to
+`fitting.fit_batch`, the stage's only fit, together. How a fit was
+placed on a region (its provenance and hop) belongs to the region's
+report, so every region placed on one list shares its FitParams. The
+output is bit-deterministic for identical inputs and configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError,
-    DimensionMismatch,
-    InputError,
-    InsufficientSamples,
-    NoSamples,
-)
+from .errors import DimensionMismatch, InputError, InsufficientSamples, NoSamples
 from .fitting import (
     KIND_AFFINE,
     KIND_MEDIAN,
@@ -53,7 +47,7 @@ from .fitting import (
     pair_observations,
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
-from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, affine_invariant_normalize
+from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, NormalizationStats, affine_invariant_normalize
 from .regions import (
     CONNECTIVITIES,
     RegionGraph,
@@ -88,8 +82,7 @@ DEFAULT_FALLBACK_CHAIN = (METHOD_SSF, METHOD_SLF, METHOD_MEDIAN, METHOD_GLOBAL_L
 NYU_CLAMP = (0.001, 10.0)
 VOID_CLAMP = (0.2, 5.0)
 
-# Median-ratio scaling presumes positive relative depths, which the
-# zero-median normalization destroys; those methods fit the raw map.
+# The methods that fit the normalized map (median-ratio fits see the raw one).
 _NORMALIZING_METHODS = (METHOD_SLF, METHOD_SSF, METHOD_GLOBAL_LINEAR)
 
 
@@ -215,58 +208,67 @@ def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: 
     return out
 
 
+def _seen_by(kind: str, paired: PairedObservations, raw: DepthGrid | None) -> PairedObservations:
+    """The observations a fit of `kind` sees: median-ratio fits see `raw`, where given."""
+    if kind != KIND_MEDIAN or raw is None:
+        return paired
+    return replace(paired, z2=raw.values[paired.rows, paired.cols])
+
+
+def _on_normalized(fits: list[FitParams], stats: NormalizationStats) -> list[FitParams]:
+    """The fits on the normalized map: a median-ratio fit scales the raw one, s * map + t."""
+    return [
+        FitParams(KIND_AFFINE, p.alpha * stats.s, p.alpha * stats.t, 0.0, 0.0, p.support, 1.0)
+        if p.kind == KIND_MEDIAN else p
+        for p in fits
+    ]
+
+
 def fit_regions(
-    graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig
+    graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig, raw: DepthGrid | None = None
 ) -> tuple[list[FitParams], list[str], list[int]]:
     """Each region's fit, provenance and hop, from the first chain entry with a fit.
 
     A region entry of kind k tries the region's own observations, then
     absorbs the sample-holding regions in order of (hop distance, id), at
-    most `cfg.max_hops` hops out. Only those regions change the
-    observations, so a fit is tried at hop 0 and at each hop where one
-    joins, on the groups of the absorbed regions concatenated in that
-    order. The first accepted fit is the region's, placed as "own" at hop
-    0 and "expanded" beyond. An entry that runs out of regions passes to
-    the next; a global entry fits every observation, placed as "global".
+    most `cfg.max_hops` hops out, trying a fit at hop 0 and at each hop
+    where one joins, on the groups of the absorbed regions in that order.
+    The first accepted fit is the region's, placed as "own" at hop 0 and
+    "expanded" beyond. An entry that runs out of regions passes to the
+    next; a global entry fits every observation, placed as "global".
+    Median-ratio fits see `raw`, where given: the map before normalization.
 
-    Fits are memoized on (kind, absorbed sample-holding regions in
-    order), rejections included, so each distinct observation list is
-    fitted once per call. The regions are walked together, one attempt
-    per region at a time, and only the distinct attempts reach Python;
-    each round's lists missing from the memo are fitted in one
-    `fit_batch` call, and only the global entries call the one-list
-    fits. Hop distances come from `SourceRings`, grown only as far as the
-    regions still without a fit need: not at all when every region fits
-    its first entry on its own observations. A round in which the rings
-    cannot grow for a region still unsettled raises RuntimeError.
+    Fits are memoized on (kind, absorbed sample-holding regions in order),
+    a global entry's on (kind, None), rejections included; each round's
+    lists missing from the memo go to one `fit_batch` call. A global entry
+    that leaves regions without a fit runs its one-list fit to raise why.
+    The hop rings (`SourceRings`) grow only as far as the regions still
+    without a fit need; a round in which they cannot grow for a region
+    still unsettled raises RuntimeError.
     """
     chain = _effective_chain(cfg)
     rings = SourceRings(graph, cfg.max_hops)
     memo: dict[tuple, FitParams | None] = {}
-    global_results: dict[str, FitParams | DegeneracyError] = {}
 
-    def global_fit(kind: str) -> FitParams | DegeneracyError:
-        if kind not in global_results:
-            fit = fit_affine if kind == KIND_AFFINE else fit_median_ratio
-            try:
-                global_results[kind] = fit(paired)
-            except DegeneracyError as err:
-                global_results[kind] = err
-        return global_results[kind]
+    def fits(kind: str, keys: list[tuple]) -> list[FitParams | None]:
+        """The memoized fit of each key; the lists not in the memo go to one `fit_batch`."""
+        missing = [key for key in keys if key not in memo]
+        if missing:
+            groups = [
+                np.concatenate([graph.group(r) for r in key]) if key else np.arange(len(paired))
+                for _, key in missing
+            ]
+            fitted = fit_batch(kind, _seen_by(kind, paired, raw), groups, cfg.cond_max)
+            memo.update(zip(missing, fitted))
+        return [memo[key] for key in keys]
 
     def attempt(kind: str, source, start, end) -> tuple[np.ndarray, np.ndarray]:
-        """Fit the sources source[start:end] of each region; the lists not in
-        the memo go to one `fit_batch` call. Returns which fitted, and their
-        FitParams."""
+        """Fit source[start:end] of each region: which fitted, and their FitParams."""
         distinct, inverse = np.unique(
             _run_ids(source, start, end, graph.n_regions), return_index=True, return_inverse=True
         )[1:]
         keys = [(kind, tuple(source[start[i] : end[i]].tolist())) for i in distinct.tolist()]
-        missing = [key for key in keys if key not in memo]
-        if missing:
-            groups = [np.concatenate([graph.group(r) for r in key]) for _, key in missing]
-            memo.update(zip(missing, fit_batch(kind, paired, groups, cfg.cond_max)))
-        results = np.fromiter((memo[key] for key in keys), dtype=object, count=len(keys))
+        results = np.fromiter(fits(kind, keys), dtype=object, count=len(keys))
         fitted = np.array([params is not None for params in results.tolist()], dtype=bool)
         return fitted[inverse], results[inverse]
 
@@ -295,9 +297,10 @@ def fit_regions(
             if not todo.size:
                 break
             if entry in _GLOBAL_KIND:
-                result = global_fit(_GLOBAL_KIND[entry])
-                if isinstance(result, FitParams):
-                    chosen[pending[todo]] = result
+                kind = _GLOBAL_KIND[entry]
+                [params] = fits(kind, [(kind, None)])
+                if params is not None:
+                    chosen[pending[todo]] = params
                     placed[pending[todo]] = -1
                     todo = todo[:0]
                 continue
@@ -337,9 +340,9 @@ def fit_regions(
     # by identity: an == test would call FitParams.__eq__ on every region
     unfit = next((i for i, params in enumerate(chosen) if params is None), None)
     if unfit is not None:
-        failed = [global_results[_GLOBAL_KIND[e]] for e in chain if e in _GLOBAL_KIND]
-        if failed:
-            raise failed[-1]
+        last = next((_GLOBAL_KIND[e] for e in reversed(chain) if e in _GLOBAL_KIND), None)
+        if last is not None:  # the one-list fit raises why
+            (fit_affine if last == KIND_AFFINE else fit_median_ratio)(_seen_by(last, paired, raw))
         raise InsufficientSamples(
             f"region {unfit}: fallback chain {chain} exhausted without a usable fit"
         )
@@ -370,10 +373,9 @@ def rescale(
     if samples.rows.max() >= height or samples.cols.max() >= width:
         raise DimensionMismatch(f"sample coordinates exceed grid shape ({height}, {width})")
 
+    working, stats = d_in, None
     if cfg.method in _NORMALIZING_METHODS:
-        working, _ = affine_invariant_normalize(d_in, cfg.normalization)
-    else:
-        working = d_in
+        working, stats = affine_invariant_normalize(d_in, cfg.normalization)
 
     if cfg.merge_same_label:
         region_mask = canonicalize_labels(mask)
@@ -382,10 +384,13 @@ def rescale(
     # Samples on invalid pixels drop out here, so the graph's sample
     # groups index `paired` rows and a group's size is its observation count.
     paired = pair_observations(working, samples)
+    if not len(paired):
+        raise NoSamples(f"no usable sample: all {len(samples)} lie on invalid depth pixels")
     graph = build_region_graph(region_mask, paired, cfg.connectivity)
 
-    chosen, provenance, hop = fit_regions(graph, paired, cfg)
-    out = apply_fit(working, region_mask, chosen, cfg.clamp)
+    chosen, provenance, hop = fit_regions(graph, paired, cfg, None if stats is None else d_in)
+    applied = chosen if stats is None else _on_normalized(chosen, stats)
+    out = apply_fit(working, region_mask, applied, cfg.clamp)
 
     rmse = [float("nan")] * graph.n_regions
     for region_id in np.flatnonzero(graph.sample_counts).tolist():

@@ -714,3 +714,30 @@ def test_affine_fit_whose_variance_underflows_expands(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     doc = json.loads((tmp_path / "metric.dpg.regions.json").read_text())
     assert [(r["provenance"], r["hop"]) for r in doc] == [("own", 0), ("expanded", 1)]
+
+
+@pytest.mark.parametrize("method", ["slf", "median"])
+def test_samples_all_on_invalid_pixels_exit_2(tmp_path, capsys, method):
+    # stored zeros are invalid depth: no sample is usable, an input error
+    from depthscale.grids import LabelGrid, SparseSamples
+
+    values = np.random.default_rng(4).uniform(1.0, 3.0, (4, 5))
+    values[1] = 0.0
+    io.save_depth(DepthGrid(values), tmp_path / "rel.dpg")
+    io.save_mask(LabelGrid(np.zeros((4, 5), dtype=np.int32)), tmp_path / "mask.pgm")
+    io.save_samples(SparseSamples.from_points([(1, 0, 2.0), (1, 3, 2.5)]), tmp_path / "s.csv")
+    code = main(
+        [
+            "rescale",
+            "--depth", str(tmp_path / "rel.dpg"),
+            "--mask", str(tmp_path / "mask.pgm"),
+            "--samples", str(tmp_path / "s.csv"),
+            "--already-depth",
+            "--method", method,
+            "--out", str(tmp_path / "metric.dpg"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: no usable sample: all 2 lie on invalid depth pixels\n"
+    )

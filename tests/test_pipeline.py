@@ -24,6 +24,7 @@ from depthscale.errors import (
     InputError,
     InsufficientSamples,
     NoSamples,
+    ZeroMedian,
 )
 from depthscale.fitting import (
     FitParams,
@@ -167,8 +168,8 @@ def test_degeneracy_surfaces_when_chain_exhausted():
 
 
 def test_fallback_to_median_keeps_output():
-    # same degenerate setup, but the chain may end in a median fit;
-    # normalized values at the sampled row are 2, measurements are 4
+    # same degenerate setup, but the chain may end in a median fit, which
+    # fits the raw map: relative depths at the sampled row are 2, measurements 4
     values = np.ones((2, 2))
     values[1, :] = 2.0
     d_in = DepthGrid(values)
@@ -177,6 +178,65 @@ def test_fallback_to_median_keeps_output():
     out, reports = rescale(d_in, uniform_mask((2, 2)), samples, cfg)
     assert reports[0].params.kind == "median"
     assert out.values[1, 0] == 4.0
+
+
+@pytest.mark.parametrize("method", ["slf", "ssf"])
+@pytest.mark.parametrize("pixel", [(5, 5), (10, 3)])
+def test_median_fallback_fits_the_raw_map(method, pixel):
+    # One sample: slf and ssf fall back to median, whose ratio of medians
+    # needs the positive raw depths, not the zero-median normalized ones.
+    d_in = DepthGrid(np.random.default_rng(0).uniform(1.0, 5.0, (20, 20)))
+    gt = 2.0 * d_in.values
+    cfg = PipelineConfig(method=method, clamp=WIDE_CLAMP)
+    out, [report] = rescale(d_in, uniform_mask(d_in.shape), sample_at(gt, [pixel]), cfg)
+    assert (report.params.kind, report.params.alpha, report.provenance) == ("median", 2.0, "own")
+    assert np.abs(out.values - gt).max() < 1e-12
+
+
+@pytest.mark.parametrize("method", ["slf", "ssf", "median", "global-linear", "global-median"])
+def test_samples_all_on_invalid_pixels_rejected(method):
+    d_in = relative_map(7)
+    valid = np.ones(d_in.shape, dtype=bool)
+    valid[2] = False
+    d_in = DepthGrid(d_in.values, valid)
+    samples = SparseSamples.from_points([(2, 1, 2.0), (2, 4, 3.0), (2, 9, 1.0)])
+    with pytest.raises(NoSamples, match=r"^no usable sample: all 3 lie on invalid depth pixels$"):
+        rescale(d_in, uniform_mask(d_in.shape), samples, PipelineConfig(method=method))
+
+
+def test_global_linear_fits_every_observation_as_one_list(monkeypatch):
+    import depthscale.pipeline as pipeline
+
+    calls = []
+
+    def recording(kind, obs, groups, *args, _fit=pipeline.fit_batch, **kwargs):
+        calls.append((kind, [rows.tolist() for rows in groups]))
+        return _fit(kind, obs, groups, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_batch", recording)
+    d_in, mask, samples = sparse_fragments()
+    _, reports = rescale(d_in, mask, samples, PipelineConfig(method="global-linear"))
+    assert calls == [("affine", [list(range(len(samples)))])]
+    assert all(r.params is reports[0].params and r.provenance == "global" for r in reports)
+
+
+@pytest.mark.parametrize(
+    "chain, error, message",
+    [
+        (("slf", "global-median", "global-linear"), InsufficientSamples,
+         "affine fit needs >= 2 observations, got 1"),
+        (("slf", "global-linear", "global-median"), ZeroMedian, "median of relative depths is zero"),
+    ],
+)
+def test_exhausted_chain_raises_the_last_global_entrys_reason(chain, error, message):
+    # one sample, on a raw relative depth of 0: every entry is left without a fit
+    values = relative_map(8).values.copy()
+    values[3, 3] = 0.0
+    d_in = DepthGrid(values)
+    samples = SparseSamples.from_points([(3, 3, 2.0)])
+    cfg = PipelineConfig(method="slf", fallback_chain=chain)
+    with pytest.raises(error, match=rf"^{message}$"):
+        rescale(d_in, uniform_mask(d_in.shape), samples, cfg)
 
 
 def test_coverage_write_once():
@@ -501,14 +561,17 @@ def reference_region_fits(d_in, mask, samples, cfg):
 
     Samples are grouped over the original sample list, and a position
     map turns a group into paired rows on every attempt (samples on
-    invalid pixels have no row). Each fallback-chain entry walks its own
-    rings over pixel-by-pixel adjacency, ascending ids within a ring.
-    Returns what `rescale` returns, the map written by `apply_fit`.
+    invalid pixels have no row); with no row at all, the frame has no
+    usable sample. Each fallback-chain entry walks its own rings over
+    pixel-by-pixel adjacency, ascending ids within a ring. Median-ratio
+    entries pair the samples with the raw map, and their fits map the
+    normalized one as alpha * (s * normalized + t). Returns what
+    `rescale` returns, the map written by `apply_fit`.
     """
     if cfg.method in ("slf", "ssf", "global-linear"):
-        working, _ = affine_invariant_normalize(d_in, cfg.normalization)
+        working, stats = affine_invariant_normalize(d_in, cfg.normalization)
     else:
-        working = d_in
+        working, stats = d_in, None
     if cfg.merge_same_label:
         labels = reference_canonicalize(mask.labels)
     else:
@@ -517,18 +580,21 @@ def reference_region_fits(d_in, mask, samples, cfg):
     region_of = labels[samples.rows, samples.cols]
     own = [[i for i in range(len(samples)) if region_of[i] == r] for r in range(len(neighbors))]
     paired = pair_observations(working, samples)
+    if len(paired) == 0:
+        raise NoSamples(f"no usable sample: all {len(samples)} lie on invalid depth pixels")
+    raw = pair_observations(d_in, samples)
     kept = working.valid[samples.rows, samples.cols]
     position = np.cumsum(kept) - 1
 
-    def obs_for(indices):
-        return paired.take(np.array([position[i] for i in indices if kept[i]], dtype=np.int64))
+    def obs_for(indices, source):
+        return source.take(np.array([position[i] for i in indices if kept[i]], dtype=np.int64))
 
     fits = {
-        "slf": (fit_affine, cfg.min_samples_linear),
-        "ssf": (lambda obs: fit_planar(obs, cond_max=cfg.cond_max), cfg.min_samples_planar),
-        "median": (fit_median_ratio, 1),
-        "global-linear": (fit_affine, None),
-        "global-median": (fit_median_ratio, None),
+        "slf": (fit_affine, cfg.min_samples_linear, paired),
+        "ssf": (lambda obs: fit_planar(obs, cond_max=cfg.cond_max), cfg.min_samples_planar, paired),
+        "median": (fit_median_ratio, 1, raw),
+        "global-linear": (fit_affine, None, paired),
+        "global-median": (fit_median_ratio, None, raw),
     }
     if cfg.method.startswith("global-"):
         chain = (cfg.method,)
@@ -541,10 +607,10 @@ def reference_region_fits(d_in, mask, samples, cfg):
     for region in range(len(neighbors)):
         params, last_error = None, None
         for entry in chain:
-            fit, minimum = fits[entry]
+            fit, minimum, source = fits[entry]
             if minimum is None:
                 try:
-                    params, placement = fit(paired), ("global", 0)
+                    params, placement = fit(source), ("global", 0)
                 except DegeneracyError as err:
                     last_error = err
                     continue
@@ -552,7 +618,7 @@ def reference_region_fits(d_in, mask, samples, cfg):
             included, frontier, hop = [region], [region], 0
             accumulated = list(own[region])
             while True:
-                obs = obs_for(accumulated)
+                obs = obs_for(accumulated, source)
                 if len(obs) >= minimum:
                     try:
                         params = fit(obs)
@@ -578,10 +644,16 @@ def reference_region_fits(d_in, mask, samples, cfg):
             )
         chosen.append((params, placement))
 
-    out = apply_fit(working, LabelGrid(labels), [params for params, _ in chosen], cfg.clamp)
+    applied = []
+    for params, _ in chosen:
+        if stats is not None and params.kind == "median":
+            a = params.alpha
+            params = FitParams("affine", a * stats.s, a * stats.t, 0.0, 0.0, params.support, 1.0)
+        applied.append(params)
+    out = apply_fit(working, LabelGrid(labels), applied, cfg.clamp)
     reports = []
     for region, (params, placement) in enumerate(chosen):
-        obs = obs_for(own[region])
+        obs = obs_for(own[region], paired)
         rmse = math.nan
         if len(obs):
             rmse = float(np.sqrt(np.mean((out.values[obs.rows, obs.cols] - obs.z1) ** 2)))
@@ -601,6 +673,16 @@ def outcome(run, *args):
         [r.params for r in reports],
         repr([r.as_dict() for r in reports]),
     )
+
+
+# the default chain, and chains with more than one global entry or a
+# global entry before the last one
+FALLBACK_CHAINS = [
+    PipelineConfig().fallback_chain,
+    ("ssf", "slf", "global-median", "global-linear"),
+    ("slf", "global-linear", "median"),
+    ("ssf", "global-linear", "global-median"),
+]
 
 
 @st.composite
@@ -624,6 +706,7 @@ def fit_stage_inputs(draw):
         merge_same_label=draw(st.booleans()),
         cond_max=draw(st.sampled_from([1e8, 10.0])),
         clamp=WIDE_CLAMP,
+        fallback_chain=draw(st.sampled_from(FALLBACK_CHAINS)),
     )
     return DepthGrid(values, valid), LabelGrid(labels), samples, cfg
 

@@ -103,3 +103,19 @@ def test_full_frames_smoke(tmp_path):
     for _, _, regions, fastest, median, peak, digest in rows:
         assert int(regions) > 0 and 0 < float(fastest) <= float(median) and float(peak) > 0
         assert len(digest) == 64
+
+
+def test_output_hashes_smoke(tmp_path):
+    done = run_script("output_hashes.py", "--smoke", "--height", "60", "--width", "80",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [case for case, _ in rows] == [
+        f"fragmented/seed{seed}/{variant}"
+        for seed in range(4)
+        for variant in ("plain", "merge", "conn8")
+    ] + ["lidar-files/seed0"] + [
+        f"full-frame/{b}x{b}/{n}" for b in (4, 2) for n in (300, 3000)
+    ]
+    assert all(len(digest) == 64 for _, digest in rows)
+    assert not any(tmp_path.iterdir())  # the lidar-files frame's files are gone
