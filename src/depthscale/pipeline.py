@@ -208,13 +208,6 @@ def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: 
     return out
 
 
-def _seen_by(kind: str, paired: PairedObservations, raw: DepthGrid | None) -> PairedObservations:
-    """The observations a fit of `kind` sees: median-ratio fits see `raw`, where given."""
-    if kind != KIND_MEDIAN or raw is None:
-        return paired
-    return replace(paired, z2=raw.values[paired.rows, paired.cols])
-
-
 def _on_normalized(fits: list[FitParams], stats: NormalizationStats) -> list[FitParams]:
     """The fits on the normalized map: a median-ratio fit scales the raw one, s * map + t."""
     return [
@@ -225,7 +218,7 @@ def _on_normalized(fits: list[FitParams], stats: NormalizationStats) -> list[Fit
 
 
 def fit_regions(
-    graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig, raw: DepthGrid | None = None
+    graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig, raw: DepthGrid
 ) -> tuple[list[FitParams], list[str], list[int]]:
     """Each region's fit, provenance and hop, from the first chain entry with a fit.
 
@@ -236,7 +229,8 @@ def fit_regions(
     The first accepted fit is the region's, placed as "own" at hop 0 and
     "expanded" beyond. An entry that runs out of regions passes to the
     next; a global entry fits every observation, placed as "global".
-    Median-ratio fits see `raw`, where given: the map before normalization.
+    Median-ratio fits see `raw`, the map before normalization, at the
+    same pixels as `paired`.
 
     Fits are memoized on (kind, absorbed sample-holding regions in order),
     a global entry's on (kind, None), rejections included; each round's
@@ -249,16 +243,21 @@ def fit_regions(
     chain = _effective_chain(cfg)
     rings = SourceRings(graph, cfg.max_hops)
     memo: dict[tuple, FitParams | None] = {}
+    # the observations a fit kind sees where they are not `paired`: median-ratio
+    # fits see the raw map, gathered when first needed
+    seen: dict[str, PairedObservations] = {}
 
     def fits(kind: str, keys: list[tuple]) -> list[FitParams | None]:
         """The memoized fit of each key; the lists not in the memo go to one `fit_batch`."""
         missing = [key for key in keys if key not in memo]
         if missing:
+            if kind == KIND_MEDIAN and kind not in seen:
+                seen[kind] = replace(paired, z2=raw.values[paired.rows, paired.cols])
             groups = [
                 np.concatenate([graph.group(r) for r in key]) if key else np.arange(len(paired))
                 for _, key in missing
             ]
-            fitted = fit_batch(kind, _seen_by(kind, paired, raw), groups, cfg.cond_max)
+            fitted = fit_batch(kind, seen.get(kind, paired), groups, cfg.cond_max)
             memo.update(zip(missing, fitted))
         return [memo[key] for key in keys]
 
@@ -341,8 +340,8 @@ def fit_regions(
     unfit = next((i for i, params in enumerate(chosen) if params is None), None)
     if unfit is not None:
         last = next((_GLOBAL_KIND[e] for e in reversed(chain) if e in _GLOBAL_KIND), None)
-        if last is not None:  # the one-list fit raises why
-            (fit_affine if last == KIND_AFFINE else fit_median_ratio)(_seen_by(last, paired, raw))
+        if last is not None:  # fitted by every unfit region: its one-list fit raises why
+            (fit_affine if last == KIND_AFFINE else fit_median_ratio)(seen.get(last, paired))
         raise InsufficientSamples(
             f"region {unfit}: fallback chain {chain} exhausted without a usable fit"
         )
@@ -388,7 +387,7 @@ def rescale(
         raise NoSamples(f"no usable sample: all {len(samples)} lie on invalid depth pixels")
     graph = build_region_graph(region_mask, paired, cfg.connectivity)
 
-    chosen, provenance, hop = fit_regions(graph, paired, cfg, None if stats is None else d_in)
+    chosen, provenance, hop = fit_regions(graph, paired, cfg, d_in)
     applied = chosen if stats is None else _on_normalized(chosen, stats)
     out = apply_fit(working, region_mask, applied, cfg.clamp)
 

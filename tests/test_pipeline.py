@@ -367,7 +367,7 @@ def test_fit_stage_memory_is_a_few_bytes_per_hop_pair(method, monkeypatch):
     monkeypatch.setattr(SourceRings, "__init__", recording)
     tracemalloc.start()
     try:
-        fit_regions(graph, paired, cfg)
+        fit_regions(graph, paired, cfg, depth)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
