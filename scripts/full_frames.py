@@ -9,10 +9,11 @@ uniformly from the ground truth (`synth.sample_uniform`, seed 0). Each
 frame runs with 300 and with 3,000 samples, method slf.
 
 For each frame it prints the region count, the min and median `rescale`
-time over `--repeats` calls, the tracemalloc peak of one more call, and
-a SHA-256 of the output values, the validity mask and the region report
-JSON (the bytes `io.save_region_reports` writes), so that two checkouts
-can be compared by their hashes.
+time over `--repeats` calls, the tracemalloc peak of one more call, the
+min time of `io.save_region_reports` over `--repeats` writes of its
+reports, and a SHA-256 of the output values, the validity mask and the
+bytes that write put in the report file, so that two checkouts can be
+compared by their hashes.
 
 Example:
     python scripts/full_frames.py
@@ -24,9 +25,9 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
-import json
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -38,6 +39,7 @@ except ImportError:
 
 import numpy as np
 
+from depthscale import io
 from depthscale.grids import DepthGrid, LabelGrid
 from depthscale.pipeline import PipelineConfig, rescale
 from depthscale.synth import sample_uniform
@@ -58,11 +60,24 @@ def frame(height: int, width: int, block: int) -> tuple[DepthGrid, LabelGrid, De
     return rel, LabelGrid(labels), gt
 
 
-def output_hash(out: DepthGrid, reports) -> str:
+def write_reports(reports, repeats: int = 1) -> tuple[float, bytes]:
+    """The min time of `repeats` `io.save_region_reports` calls into a
+    temporary directory, and the bytes the last one wrote."""
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "regions.json"
+        for _ in range(repeats):
+            started = time.perf_counter()
+            io.save_region_reports(reports, path)
+            times.append(time.perf_counter() - started)
+        return min(times), path.read_bytes()
+
+
+def output_hash(out: DepthGrid, report: bytes) -> str:
+    """SHA-256 of the output values, the validity mask and the report file's bytes."""
     digest = hashlib.sha256(out.values.tobytes())
     digest.update(out.valid.tobytes())
-    doc = [r.as_dict() for r in reports]
-    digest.update((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+    digest.update(report)
     return digest.hexdigest()
 
 
@@ -76,7 +91,7 @@ def main(argv=None) -> int:
     cfg = PipelineConfig(method="slf")
     print(f"# {args.height}x{args.width}, random blocks over {LABELS} labels, slf, seed {SEED}")
     print(f"{'blocks':>6} {'samples':>7} {'regions':>7} {'min s':>7} {'median s':>8} "
-          f"{'peak MB':>8}  sha256")
+          f"{'peak MB':>8} {'write s':>7}  sha256")
     for block in BLOCKS:
         rel, mask, gt = frame(args.height, args.width, block)
         for n in SAMPLES:
@@ -94,9 +109,10 @@ def main(argv=None) -> int:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            write_s, report = write_reports(reports, args.repeats)
             print(f"{f'{block}x{block}':>6} {n:>7} {len(reports):>7} {min(times):>7.3f} "
-                  f"{statistics.median(times):>8.3f} {peak / 1e6:>8.1f}  "
-                  f"{output_hash(out, reports)}")
+                  f"{statistics.median(times):>8.3f} {peak / 1e6:>8.1f} {write_s:>7.3f}  "
+                  f"{output_hash(out, report)}")
     return 0
 
 

@@ -5,7 +5,7 @@ It prints one line per case, `<case> <sha256>`:
 
 - fragmented seeds 0-3, every scene as `perfbench/workloads.py` builds
   it, run plain, with `merge_same_label` and with 8-connectivity (the
-  output values, validity and region report JSON of each scene);
+  output values, validity and region report file of each scene);
 - the lidar-files seed-0 frame through `cli.main` (the depth file, the
   region report file and the printed metrics);
 - the four `scripts/full_frames.py` frames.
@@ -41,7 +41,7 @@ from depthscale.pipeline import PipelineConfig, rescale
 from depthscale.synth import sample_uniform
 
 import workloads
-from full_frames import BLOCKS, SAMPLES, SEED, frame, output_hash
+from full_frames import BLOCKS, SAMPLES, SEED, frame, output_hash, write_reports
 
 FRAGMENTED_SEEDS = (0, 1, 2, 3)
 VARIANTS = {"plain": {}, "merge": {"merge_same_label": True}, "conn8": {"connectivity": 8}}
@@ -55,8 +55,8 @@ def fragmented_lines(smoke: bool, workdir: Path):
             digest = hashlib.sha256()
             for scene in scenes:
                 cfg = replace(PipelineConfig(method=scene["method"], clamp=workloads.CLAMP), **fields)
-                out = rescale(scene["depth"], scene["mask"], scene["samples"], cfg)
-                digest.update(output_hash(*out).encode())
+                out, reports = rescale(scene["depth"], scene["mask"], scene["samples"], cfg)
+                digest.update(output_hash(out, write_reports(reports)[1]).encode())
             yield f"fragmented/seed{seed}/{name}", digest.hexdigest()
 
 
@@ -75,8 +75,8 @@ def full_frame_lines(height: int, width: int):
     for block in BLOCKS:
         rel, mask, gt = frame(height, width, block)
         for n in SAMPLES:
-            out = rescale(rel, mask, sample_uniform(gt, n, SEED), cfg)
-            yield f"full-frame/{block}x{block}/{n}", output_hash(*out)
+            out, reports = rescale(rel, mask, sample_uniform(gt, n, SEED), cfg)
+            yield f"full-frame/{block}x{block}/{n}", output_hash(out, write_reports(reports)[1])
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,7 @@ from .fitting import (
     fit_median_ratio,
     fit_planar,
     pair_observations,
+    planar_terms,
 )
 from .grids import (
     DepthGrid,
@@ -29,7 +30,7 @@ from .grids import (
 )
 from .metrics import MetricReport, evaluate
 from .normalize import NormalizationStats, affine_invariant_normalize, invert_depth, lower_median
-from .pipeline import NYU_CLAMP, VOID_CLAMP, PipelineConfig, RegionReport, rescale
+from .pipeline import NYU_CLAMP, VOID_CLAMP, PipelineConfig, RegionReport, RegionReports, rescale
 from .regions import (
     Expansion,
     RegionGraph,
@@ -67,6 +68,7 @@ __all__ = [
     "Plane",
     "RegionGraph",
     "RegionReport",
+    "RegionReports",
     "SceneSpec",
     "SparseSamples",
     "VOID_CLAMP",
@@ -84,6 +86,7 @@ __all__ = [
     "invert_depth",
     "lower_median",
     "pair_observations",
+    "planar_terms",
     "random_scene",
     "rescale",
     "sample_beams",

@@ -295,38 +295,48 @@ def fit_median_ratio(obs: PairedObservations) -> FitParams:
     return params
 
 
-def _planar_terms(params: FitParams) -> tuple[float, float, float, float]:
-    """A fit as (alpha, x-slope, y-slope, offset) of the planar form."""
-    if params.kind == KIND_PLANAR:
-        return params.alpha, params.beta, params.gamma, params.delta
-    if params.kind == KIND_AFFINE:
-        return params.alpha, 0.0, 0.0, params.beta
-    if params.kind == KIND_MEDIAN:
-        return params.alpha, 0.0, 0.0, 0.0
-    raise InputError(f"unknown fit kind {params.kind!r}")
+def planar_terms(fits: Sequence[FitParams]) -> np.ndarray:
+    """The (len(fits), 4) table of each fit's (alpha, x-slope, y-slope, offset)
+    in the planar form: an affine fit is (alpha, 0, 0, beta), a median-ratio
+    fit (alpha, 0, 0, 0)."""
+    rows = []
+    for p in fits:
+        if p.kind == KIND_PLANAR:
+            rows.append((p.alpha, p.beta, p.gamma, p.delta))
+        elif p.kind == KIND_AFFINE:
+            rows.append((p.alpha, 0.0, 0.0, p.beta))
+        elif p.kind == KIND_MEDIAN:
+            rows.append((p.alpha, 0.0, 0.0, 0.0))
+        else:
+            raise InputError(f"unknown fit kind {p.kind!r}")
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
 def apply_fit(
     d_rel: DepthGrid,
     mask: LabelGrid,
-    params: Sequence[FitParams],
+    terms: np.ndarray,
     clamp: tuple[float, float],
 ) -> DepthGrid:
-    """Apply `params[label]` to every pixel in one label-indexed pass.
+    """Apply row `terms[label]` of a `planar_terms` table to every pixel in
+    one label-indexed pass.
 
     Each pixel gets ((alpha*z2 + beta*x) + gamma*y) + delta from its
-    label's planar terms, clamped into [min_depth, max_depth]; affine and
-    median fits have zero slopes, which is exact for their own formulas
-    because the clamp floor is positive. Valid where the input is.
+    label's row, clamped into [min_depth, max_depth]; affine and median
+    fits have zero slopes, which is exact for their own formulas because
+    the clamp floor is positive. Valid where the input is.
     """
     lo, hi = float(clamp[0]), float(clamp[1])
     if not (0.0 < lo <= hi):
         raise InputError(f"clamp range must satisfy 0 < min <= max, got ({lo}, {hi})")
     if mask.shape != d_rel.shape:
         raise InputError(f"mask shape {mask.shape} != grid shape {d_rel.shape}")
-    if mask.labels.max() >= len(params):
-        raise InputError(f"label {mask.labels.max()} has no fit parameters ({len(params)} given)")
-    alpha, beta, gamma, delta = np.array([_planar_terms(p) for p in params], dtype=np.float64).T
+    terms = np.asarray(terms, dtype=np.float64)
+    if terms.ndim != 2 or terms.shape[1] != 4:
+        raise InputError(f"planar terms must be an (n, 4) table, got shape {terms.shape}")
+    if mask.labels.max() >= len(terms):
+        raise InputError(f"label {mask.labels.max()} has no planar terms ({len(terms)} given)")
+    alpha, beta, gamma, delta = terms.T
     x, y = normalized_coords(*np.ogrid[: d_rel.height, : d_rel.width], *d_rel.shape)
     out = np.empty(d_rel.shape)
     # One block of rows at a time, with its labels cast to intp once for

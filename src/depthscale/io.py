@@ -40,7 +40,7 @@ from .errors import (
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples
 from .metrics import CSV_COLUMNS
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, RegionReports
 
 DPG_MAGIC = b"DPG1"
 DEFAULT_PGM_SCALE = 1000.0  # stored integers are millimeters
@@ -369,10 +369,32 @@ def save_report(rows: list[dict], path) -> None:
             writer.writerow(row)
 
 
-def save_region_reports(reports, path) -> None:
-    """Write pipeline region reports as deterministic JSON."""
-    doc = [r.as_dict() for r in reports]
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json_tokens(values: list) -> list[str]:
+    """The JSON of each value, cut from one C-encoded `json.dumps` of the list."""
+    tokens = json.dumps(values)[1:-1].split(", ") if values else []
+    # Cutting at ", " needs that no value's JSON holds it, which holds
+    # because the only strings are fit kinds and provenances.
+    if len(tokens) != len(values):
+        raise ValueError(f"a value's JSON holds ', ': {values!r:.200}")
+    return tokens
+
+
+def save_region_reports(reports: RegionReports, path) -> None:
+    """Write region reports as deterministic JSON.
+
+    The bytes are those of `json.dumps([r.as_dict() for r in reports],
+    indent=2, sort_keys=True)` and a newline, encoded a column at a time
+    (the indenting encoder is pure Python) without building the reports:
+    each fit's values once, placed on its regions by `fit_of`.
+    """
+    per_fit, fit_of, per_region = reports.columns()
+    tokens = {key: _json_tokens(values) for key, values in per_region.items()}
+    for key, values in per_fit.items():
+        tokens[key] = np.array(_json_tokens(values), dtype=object)[fit_of].tolist()
+    keys = sorted(tokens)
+    record = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in keys) + "\n  }"
+    records = ",\n".join(map(record.__mod__, zip(*(tokens[key] for key in keys))))
+    Path(path).write_text(f"[\n{records}\n]\n" if records else "[]\n")
 
 
 PATH_FIELDS = ("depth_path", "mask_path", "out_depth", "out_report", "samples_path", "gt_path")

@@ -20,12 +20,20 @@ region entry's on (kind, ordered absorbed regions), a global entry's on
 placed on a region (its provenance and hop) belongs to the region's
 report, so every region placed on one list shares its FitParams. The
 output is bit-deterministic for identical inputs and configuration.
+
+Region results stay columns from the fit stage to the report file:
+`fit_regions` returns the frame's distinct fits with each region's fit
+index and hop, `apply_fit` takes one planar-terms row per region
+gathered from the fits' table, and `rescale` returns `RegionReports`,
+whose items are built only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -45,6 +53,7 @@ from .fitting import (
     fit_median_ratio,
     fit_planar,  # noqa: F401  (the benchmark's tracer wraps it under this name)
     pair_observations,
+    planar_terms,
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, NormalizationStats, affine_invariant_normalize
@@ -152,7 +161,8 @@ class PipelineConfig:
 class RegionReport:
     """Audit record for one region of a rescaling run: its fit, how the fit
     was placed on it (provenance and hop), and the RMSE of the output at
-    the region's own observations (NaN without any)."""
+    the region's own observations (NaN without any; written as null, as
+    any non-finite RMSE is)."""
 
     region_id: int
     params: FitParams
@@ -165,7 +175,7 @@ class RegionReport:
         return self.params.support
 
     def as_dict(self) -> dict:
-        rmse = None if math.isnan(self.residual_rmse) else self.residual_rmse
+        rmse = self.residual_rmse if math.isfinite(self.residual_rmse) else None
         return {
             "region_id": self.region_id,
             "hop": self.hop,
@@ -174,6 +184,76 @@ class RegionReport:
             **self.params.as_dict(),
             "provenance": self.provenance,
         }
+
+
+# A region's provenance by its hop, min(hop, 1): own at 0, expanded
+# beyond, global at -1.
+_PROVENANCE = (PROV_OWN, PROV_EXPANDED, PROV_GLOBAL)
+
+
+class RegionReports(Sequence[RegionReport]):
+    """The region reports of one run as columns, read as a sequence of RegionReport.
+
+    `fits` holds the run's distinct fits; for region i, `fit_of[i]` is
+    the position of its fit in `fits`, `hop[i]` the hop the fit was
+    placed at (-1 for a global fit) and `residual_rmse[i]` its RMSE.
+    Item i is region i's RegionReport, built when it is read. The
+    columns are read-only.
+    """
+
+    __slots__ = ("fits", "fit_of", "hop", "residual_rmse")
+
+    def __init__(self, fits, fit_of, hop, residual_rmse):
+        self.fits = tuple(fits)
+        self.fit_of = _read_only(fit_of, np.intp)
+        self.hop = _read_only(hop, np.int64)
+        self.residual_rmse = _read_only(residual_rmse, np.float64)
+        if not self.fit_of.size == self.hop.size == self.residual_rmse.size:
+            raise InputError("region report columns must have equal length")
+
+    def __len__(self) -> int:
+        return self.fit_of.size
+
+    def __getitem__(self, index: int) -> RegionReport:
+        i = range(len(self))[operator.index(index)]  # from the end if negative; IndexError past it
+        fit, hop, rmse = self.fits[self.fit_of[i]], int(self.hop[i]), float(self.residual_rmse[i])
+        return RegionReport(i, fit, _PROVENANCE[min(hop, 1)], max(hop, 0), rmse)
+
+    def __iter__(self) -> Iterator[RegionReport]:
+        fits = np.array(self.fits, dtype=object)[self.fit_of].tolist()
+        rmse = self.residual_rmse.tolist()
+        return map(RegionReport, range(len(self)), fits, *self._placements(), rmse)
+
+    def _placements(self) -> tuple[list[str], list[int]]:
+        """Each region's provenance and hop (0 for a global fit), as lists."""
+        provenance = np.array(_PROVENANCE, dtype=object)[np.minimum(self.hop, 1)]
+        return provenance.tolist(), np.maximum(self.hop, 0).tolist()
+
+    def columns(self) -> tuple[dict[str, list], np.ndarray, dict[str, list]]:
+        """The items' `as_dict` values by key, without building the items.
+
+        Returns the keys a fit gives, each with one value per fit in
+        `fits`; `fit_of`, which picks each region's fit; and the keys a
+        region gives, each with one value per region.
+        """
+        per_fit = {f.name: [getattr(p, f.name) for p in self.fits] for f in fields(FitParams)}
+        per_fit["samples_used"] = per_fit["support"]
+        rmse = self.residual_rmse.astype(object)
+        rmse[~np.isfinite(self.residual_rmse)] = None
+        provenance, hop = self._placements()
+        per_region = {
+            "region_id": list(range(len(self))),
+            "hop": hop,
+            "residual_rmse": rmse.tolist(),
+            "provenance": provenance,
+        }
+        return per_fit, self.fit_of, per_region
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 def _effective_chain(cfg: PipelineConfig) -> tuple[str, ...]:
@@ -219,16 +299,16 @@ def _on_normalized(fits: list[FitParams], stats: NormalizationStats) -> list[Fit
 
 def fit_regions(
     graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig, raw: DepthGrid
-) -> tuple[list[FitParams], list[str], list[int]]:
-    """Each region's fit, provenance and hop, from the first chain entry with a fit.
+) -> tuple[list[FitParams], np.ndarray, np.ndarray]:
+    """Each region's fit and hop, from the first chain entry with a fit.
 
     A region entry of kind k tries the region's own observations, then
     absorbs the sample-holding regions in order of (hop distance, id), at
     most `cfg.max_hops` hops out, trying a fit at hop 0 and at each hop
     where one joins, on the groups of the absorbed regions in that order.
-    The first accepted fit is the region's, placed as "own" at hop 0 and
-    "expanded" beyond. An entry that runs out of regions passes to the
-    next; a global entry fits every observation, placed as "global".
+    The first accepted fit is the region's, placed at that hop. An entry
+    that runs out of regions passes to the next; a global entry fits
+    every observation, placed at hop -1.
     Median-ratio fits see `raw`, the map before normalization, at the
     same pixels as `paired`.
 
@@ -239,15 +319,22 @@ def fit_regions(
     The hop rings (`SourceRings`) grow only as far as the regions still
     without a fit need; a round in which they cannot grow for a region
     still unsettled raises RuntimeError.
+
+    Returns the accepted fits, in the order they were fitted, and two
+    int arrays over the regions: `fit_of`, the position of each region's
+    fit in that list, and `hop`, the hop it was placed at (-1 for a
+    global fit).
     """
     chain = _effective_chain(cfg)
     rings = SourceRings(graph, cfg.max_hops)
-    memo: dict[tuple, FitParams | None] = {}
+    accepted: list[FitParams] = []
+    # each fitted list's position in `accepted`, -1 for a rejected one
+    memo: dict[tuple, int] = {}
     # the observations a fit kind sees where they are not `paired`: median-ratio
     # fits see the raw map, gathered when first needed
     seen: dict[str, PairedObservations] = {}
 
-    def fits(kind: str, keys: list[tuple]) -> list[FitParams | None]:
+    def fits(kind: str, keys: list[tuple]) -> list[int]:
         """The memoized fit of each key; the lists not in the memo go to one `fit_batch`."""
         missing = [key for key in keys if key not in memo]
         if missing:
@@ -258,20 +345,23 @@ def fit_regions(
                 for _, key in missing
             ]
             fitted = fit_batch(kind, seen.get(kind, paired), groups, cfg.cond_max)
-            memo.update(zip(missing, fitted))
+            for key, params in zip(missing, fitted):
+                if params is None:
+                    memo[key] = -1
+                else:
+                    memo[key] = len(accepted)
+                    accepted.append(params)
         return [memo[key] for key in keys]
 
-    def attempt(kind: str, source, start, end) -> tuple[np.ndarray, np.ndarray]:
-        """Fit source[start:end] of each region: which fitted, and their FitParams."""
+    def attempt(kind: str, source, start, end) -> np.ndarray:
+        """Fit source[start:end] of each region: its fit's position in `accepted`, or -1."""
         distinct, inverse = np.unique(
             _run_ids(source, start, end, graph.n_regions), return_index=True, return_inverse=True
         )[1:]
         keys = [(kind, tuple(source[start[i] : end[i]].tolist())) for i in distinct.tolist()]
-        results = np.fromiter(fits(kind, keys), dtype=object, count=len(keys))
-        fitted = np.array([params is not None for params in results.tolist()], dtype=bool)
-        return fitted[inverse], results[inverse]
+        return np.array(fits(kind, keys), dtype=np.intp)[inverse]
 
-    chosen = np.full(graph.n_regions, None, dtype=object)
+    fit_of = np.full(graph.n_regions, -1, dtype=np.intp)
     # the hop of each placed fit, -1 for a global one
     placed = np.zeros(graph.n_regions, dtype=np.int32)
     pending = np.arange(graph.n_regions)
@@ -297,9 +387,9 @@ def fit_regions(
                 break
             if entry in _GLOBAL_KIND:
                 kind = _GLOBAL_KIND[entry]
-                [params] = fits(kind, [(kind, None)])
-                if params is not None:
-                    chosen[pending[todo]] = params
+                [fit] = fits(kind, [(kind, None)])
+                if fit >= 0:
+                    fit_of[pending[todo]] = fit
                     placed[pending[todo]] = -1
                     todo = todo[:0]
                 continue
@@ -309,9 +399,10 @@ def fit_regions(
             at = np.searchsorted(total[1:], before + cfg.minimum_for(kind))
             while (live := at < stop[todo]).any():
                 end = ends[at[live]]
-                fitted, params = attempt(kind, source, lo[todo[live]], end)
+                fit = attempt(kind, source, lo[todo[live]], end)
+                fitted = fit >= 0
                 regions = pending[todo[live][fitted]]
-                chosen[regions] = params[fitted]
+                fit_of[regions] = fit[fitted]
                 placed[regions] = hop[end[fitted] - 1]
                 at[live] += 1
                 keep = ~live
@@ -335,20 +426,34 @@ def fit_regions(
         if rings.radius == radius:
             raise RuntimeError(f"hop rings stopped growing, {pending.size} unsettled region(s) left")
 
-    chosen = chosen.tolist()
-    # by identity: an == test would call FitParams.__eq__ on every region
-    unfit = next((i for i, params in enumerate(chosen) if params is None), None)
-    if unfit is not None:
+    unfit = np.flatnonzero(fit_of < 0)
+    if unfit.size:
         last = next((_GLOBAL_KIND[e] for e in reversed(chain) if e in _GLOBAL_KIND), None)
         if last is not None:  # fitted by every unfit region: its one-list fit raises why
             (fit_affine if last == KIND_AFFINE else fit_median_ratio)(seen.get(last, paired))
         raise InsufficientSamples(
-            f"region {unfit}: fallback chain {chain} exhausted without a usable fit"
+            f"region {unfit[0]}: fallback chain {chain} exhausted without a usable fit"
         )
-    # the sign picks own (hop 0), expanded (hop > 0) or global (-1); names
-    # in an object array, since a str array would take 32 bytes per region
-    provenance = np.array([PROV_OWN, PROV_EXPANDED, PROV_GLOBAL], dtype=object)[np.sign(placed)]
-    return chosen, provenance.tolist(), np.maximum(placed, 0).tolist()
+    return accepted, fit_of, placed
+
+
+def _residual_rmse(out: DepthGrid, paired: PairedObservations, graph: RegionGraph) -> np.ndarray:
+    """Each region's RMSE of `out` at its own observations, NaN without any.
+
+    The regions holding n observations form one (k, n) stack, whose
+    `sum(axis=1) / n` gives each row what `np.mean` of that row alone
+    gives, bit for bit. A square that overflows makes the RMSE infinite.
+    """
+    rmse = np.full(graph.n_regions, np.nan)
+    holding = np.flatnonzero(graph.sample_counts)
+    counts = graph.sample_counts[holding]
+    with np.errstate(over="ignore"):
+        squares = np.square(out.values[paired.rows, paired.cols] - paired.z1)
+        for n in np.unique(counts).tolist():
+            regions = holding[counts == n]
+            rows = graph.sample_order[graph.sample_bounds[regions, None] + np.arange(n)]
+            rmse[regions] = np.sqrt(squares[rows].sum(axis=1) / n)
+    return rmse
 
 
 def rescale(
@@ -356,11 +461,12 @@ def rescale(
     mask: LabelGrid,
     samples: SparseSamples,
     cfg: PipelineConfig = PipelineConfig(),
-) -> tuple[DepthGrid, list[RegionReport]]:
+) -> tuple[DepthGrid, RegionReports]:
     """Rescale a relative depth map to metric depth, region by region.
 
     `d_in` must already be relative depth (invert inverse-depth model
-    output first). Returns the metric map plus one report per region.
+    output first). Returns the metric map plus the region reports, one
+    per region, held as columns.
     Every pixel of the output is written by the fit of its own region;
     output validity equals input validity.
     """
@@ -387,15 +493,7 @@ def rescale(
         raise NoSamples(f"no usable sample: all {len(samples)} lie on invalid depth pixels")
     graph = build_region_graph(region_mask, paired, cfg.connectivity)
 
-    chosen, provenance, hop = fit_regions(graph, paired, cfg, d_in)
-    applied = chosen if stats is None else _on_normalized(chosen, stats)
-    out = apply_fit(working, region_mask, applied, cfg.clamp)
-
-    rmse = [float("nan")] * graph.n_regions
-    for region_id in np.flatnonzero(graph.sample_counts).tolist():
-        own = graph.group(region_id)
-        predicted = out.values[paired.rows[own], paired.cols[own]]
-        rmse[region_id] = float(np.sqrt(np.mean((predicted - paired.z1[own]) ** 2)))
-    reports = [RegionReport(*r) for r in zip(range(graph.n_regions), chosen, provenance, hop, rmse)]
-
-    return out, reports
+    fits, fit_of, hop = fit_regions(graph, paired, cfg, d_in)
+    applied = fits if stats is None else _on_normalized(fits, stats)
+    out = apply_fit(working, region_mask, planar_terms(applied)[fit_of], cfg.clamp)
+    return out, RegionReports(fits, fit_of, hop, _residual_rmse(out, paired, graph))

@@ -32,6 +32,7 @@ from depthscale.fitting import (
     fit_planar,
     normalized_coords,
     pair_observations,
+    planar_terms,
 )
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.normalize import lower_median
@@ -205,7 +206,7 @@ def one_label(shape):
 def test_apply_affine():
     grid = DepthGrid(np.array([[3.0]]))
     params = FitParams("affine", alpha=2.0, beta=1.0, gamma=0.0, delta=0.0, support=2, condition=1.0)
-    out = apply_fit(grid, one_label((1, 1)), [params], (0.001, 10.0))
+    out = apply_fit(grid, one_label((1, 1)), planar_terms([params]), (0.001, 10.0))
     assert out.values[0, 0] == 7.0
 
 
@@ -216,7 +217,7 @@ def test_apply_planar_matches_fit_example():
     valid[0, 0] = False
     grid = DepthGrid(values, valid)
     params = FitParams("planar", alpha=2.0, beta=0.0, gamma=0.0, delta=3.0, support=4, condition=1.0)
-    out = apply_fit(grid, one_label((3, 3)), [params], (0.001, 10.0))
+    out = apply_fit(grid, one_label((3, 3)), planar_terms([params]), (0.001, 10.0))
     assert out.values[2, 2] == 5.0
     assert np.array_equal(out.valid, valid)
 
@@ -224,7 +225,7 @@ def test_apply_planar_matches_fit_example():
 def test_apply_clamps_to_floor():
     grid = DepthGrid(np.array([[1.0]]))
     params = FitParams("affine", alpha=1.0, beta=-1.5, gamma=0.0, delta=0.0, support=2, condition=1.0)
-    out = apply_fit(grid, one_label((1, 1)), [params], (0.001, 10.0))
+    out = apply_fit(grid, one_label((1, 1)), planar_terms([params]), (0.001, 10.0))
     assert out.values[0, 0] == 0.001
 
 
@@ -233,13 +234,21 @@ IDENTITY = FitParams("median", alpha=1.0, beta=0.0, gamma=0.0, delta=0.0, suppor
 
 def test_apply_rejects_mask_of_another_shape():
     with pytest.raises(InputError, match="shape"):
-        apply_fit(DepthGrid(np.ones((2, 3))), one_label((3, 2)), [IDENTITY], (0.001, 10.0))
+        apply_fit(
+            DepthGrid(np.ones((2, 3))), one_label((3, 2)), planar_terms([IDENTITY]), (0.001, 10.0)
+        )
 
 
 def test_apply_rejects_label_without_params():
     mask = LabelGrid(np.array([[0, 1], [2, 1]]))
     with pytest.raises(InputError, match="label 2"):
-        apply_fit(DepthGrid(np.ones((2, 2))), mask, [IDENTITY, IDENTITY], (0.001, 10.0))
+        apply_fit(DepthGrid(np.ones((2, 2))), mask, planar_terms(2 * [IDENTITY]), (0.001, 10.0))
+
+
+@pytest.mark.parametrize("terms", [np.zeros(4), np.zeros((1, 3)), np.zeros((1, 4, 1))])
+def test_apply_rejects_terms_not_an_n_by_4_table(terms):
+    with pytest.raises(InputError, match="planar terms"):
+        apply_fit(DepthGrid(np.ones((2, 2))), one_label((2, 2)), terms, (0.001, 10.0))
 
 
 def reference_apply(d_rel, params, subset, clamp):
@@ -293,7 +302,7 @@ def test_apply_matches_region_by_region_reference(case, block):
         want_valid |= sel
     with warnings.catch_warnings(), mock.patch.object(fitting, "_APPLY_BLOCK", block):
         warnings.simplefilter("error", RuntimeWarning)
-        got = apply_fit(d_rel, mask, params, clamp)
+        got = apply_fit(d_rel, mask, planar_terms(params), clamp)
     assert got.values.tobytes() == want.tobytes()
     assert np.array_equal(got.valid, want_valid)
 

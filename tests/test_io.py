@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import sys
+import warnings
 from contextlib import redirect_stderr
 from io import StringIO
 
@@ -21,9 +22,10 @@ from depthscale.errors import (
     InputError,
     UnknownFormat,
 )
+from depthscale.fitting import FIT_KINDS, FitParams
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.normalize import affine_invariant_normalize, invert_depth
-from depthscale.pipeline import PipelineConfig
+from depthscale.pipeline import PipelineConfig, RegionReports, rescale
 from depthscale import io
 
 
@@ -474,6 +476,58 @@ def test_samples_parse_matches_row_by_row_reference(tmp_path_factory, text):
         lineno, value = first_wide_coordinate(path)
         want = (CorruptHeader, f"{path}:{lineno}: coordinate {value} is outside the int64 range")
     assert got == want
+
+
+# floats the encoder writes differently or that round-trip at the edges
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308]
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def region_report_columns(draw):
+    """Region report columns over a few fits of every kind; hop -1 places a
+    fit as global, 0 as own and above 0 as expanded."""
+    fit = st.builds(
+        FitParams, st.sampled_from(FIT_KINDS), any_float, any_float, any_float, any_float,
+        st.integers(0, 10**6), any_float,
+    )
+    fits = draw(st.lists(fit, min_size=1, max_size=4))
+    n = draw(st.integers(0, 12))
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
+    return RegionReports(
+        fits, column(st.integers(0, len(fits) - 1)), column(st.integers(-1, 40)), column(any_float)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_report_columns())
+def test_region_report_writer_matches_json_dumps(tmp_path_factory, reports):
+    path = tmp_path_factory.mktemp("reports") / "regions.json"
+    io.save_region_reports(reports, path)
+    want = json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == want
+
+
+def test_overflowing_rmse_is_written_as_null(tmp_path):
+    # The sample of depth 1e200 lies far outside the clamp, so its squared
+    # residual overflows: the RMSE is infinite, written as null, and no
+    # RuntimeWarning is raised on the way.
+    d_in = DepthGrid(np.random.default_rng(0).uniform(1.0, 5.0, (10, 10)))
+    mask = LabelGrid(np.zeros((10, 10), dtype=np.int32))
+    samples = SparseSamples.from_points([(1, 1, 2.0), (2, 5, 3.0), (3, 7, 1e200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, reports = rescale(d_in, mask, samples, PipelineConfig(method="slf"))
+    assert reports[0].residual_rmse == math.inf
+    assert reports[0].as_dict()["residual_rmse"] is None
+    io.save_region_reports(reports, tmp_path / "regions.json")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((tmp_path / "regions.json").read_text(), parse_constant=refuse)
+    assert doc[0]["residual_rmse"] is None
 
 
 def test_manifest_round_trip(tmp_path):

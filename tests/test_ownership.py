@@ -10,7 +10,7 @@ import pytest
 
 from depthscale import io
 from depthscale.errors import InputError
-from depthscale.fitting import FitParams, apply_fit
+from depthscale.fitting import FitParams, apply_fit, planar_terms
 from depthscale.grids import (
     DepthGrid,
     LabelGrid,
@@ -54,7 +54,7 @@ def library_grids(tmp_path):
     return [
         ("invert_depth", rel.values, invert_depth(rel)),
         ("affine_invariant_normalize", rel.values, normalized),
-        ("apply_fit", rel.values, apply_fit(rel, mask, params, (0.001, 10.0))),
+        ("apply_fit", rel.values, apply_fit(rel, mask, planar_terms(params), (0.001, 10.0))),
         ("rescale", rel.values, metric),
         ("samples_to_grid", samples.depths, samples_to_grid(samples, 3, 4)),
         ("load_depth pfm", None, io.load_depth(tmp_path / "rel.pfm")),

@@ -33,6 +33,7 @@ from depthscale.fitting import (
     fit_median_ratio,
     fit_planar,
     pair_observations,
+    planar_terms,
 )
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
@@ -524,6 +525,46 @@ def test_regions_placed_on_one_fit_share_it(monkeypatch, method):
     assert across_hops
 
 
+def test_reports_are_built_only_when_read(monkeypatch, tmp_path):
+    # `rescale` returns its reports as columns: neither it nor the CLI,
+    # which writes the report file from them, builds a RegionReport, and
+    # each index or iteration step builds one.
+    import depthscale.pipeline as pipeline
+
+    built = []
+
+    def counting(*args, _report=pipeline.RegionReport):
+        built.append(args[0])
+        return _report(*args)
+
+    monkeypatch.setattr(pipeline, "RegionReport", counting)
+    d_in, mask, samples = sparse_fragments()
+    _, reports = rescale(d_in, mask, samples, PipelineConfig(method="slf"))
+    io.save_depth(d_in, tmp_path / "rel.dpg")
+    io.save_mask(mask, tmp_path / "mask.pgm")
+    io.save_samples(samples, tmp_path / "samples.csv")
+    paths = {flag: str(tmp_path / name) for flag, name in
+             (("--depth", "rel.dpg"), ("--mask", "mask.pgm"), ("--samples", "samples.csv"))}
+    with redirect_stdout(StringIO()):
+        code = cli.main(["rescale", *(x for pair in paths.items() for x in pair),
+                         "--already-depth", "--out", str(tmp_path / "metric.dpg")])
+    assert code == 0 and built == []
+
+    n = len(reports)
+    assert [reports[0].region_id, reports[-1].region_id, reports[-n].region_id] == [0, n - 1, 0]
+    assert built == [0, n - 1, 0]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            reports[index]
+    built.clear()
+    items = list(reports)
+    assert built == list(range(n)) == [r.region_id for r in items]
+    assert [r.as_dict() for r in items] == [reports[i].as_dict() for i in range(n)]
+    assert all(r.params is reports.fits[fit] for r, fit in zip(items, reports.fit_of))
+    assert len({id(r.params) for r in items}) == len(reports.fits) < n
+    assert not any(c.flags.writeable for c in (reports.fit_of, reports.hop, reports.residual_rmse))
+
+
 def test_fit_stage_raises_when_the_rings_stop_growing():
     # Region 0 holds one sample and slf needs two, so it must expand; with
     # a `grow` that adds nothing, the fit stage must raise, not spin. It
@@ -650,7 +691,7 @@ def reference_region_fits(d_in, mask, samples, cfg):
             a = params.alpha
             params = FitParams("affine", a * stats.s, a * stats.t, 0.0, 0.0, params.support, 1.0)
         applied.append(params)
-    out = apply_fit(working, LabelGrid(labels), applied, cfg.clamp)
+    out = apply_fit(working, LabelGrid(labels), planar_terms(applied), cfg.clamp)
     reports = []
     for region, (params, placement) in enumerate(chosen):
         obs = obs_for(own[region], paired)

@@ -100,9 +100,9 @@ def test_full_frames_smoke(tmp_path):
     assert [(row[0], row[1]) for row in rows] == [
         ("4x4", "300"), ("4x4", "3000"), ("2x2", "300"), ("2x2", "3000")
     ]
-    for _, _, regions, fastest, median, peak, digest in rows:
+    for _, _, regions, fastest, median, peak, write, digest in rows:
         assert int(regions) > 0 and 0 < float(fastest) <= float(median) and float(peak) > 0
-        assert len(digest) == 64
+        assert float(write) >= 0 and len(digest) == 64
 
 
 def test_output_hashes_smoke(tmp_path):
