@@ -16,6 +16,11 @@ can hash another checkout:
     python scripts/output_hashes.py
     PYTHONPATH=/path/to/other/src python scripts/output_hashes.py
 
+`--against /path/to/other/src` does both: it hashes the cases with this
+import path's library, re-runs them in a subprocess with the other
+library, prints each case whose hash differs (`<case> <this> <other>`)
+and exits 1 if any does, 0 if none does.
+
 `--smoke` builds the benchmark's smoke scenes, and `--height`/`--width`
 size the full frames.
 """
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -79,11 +85,25 @@ def full_frame_lines(height: int, width: int):
             yield f"full-frame/{block}x{block}/{n}", output_hash(out, write_reports(reports)[1])
 
 
+def other_hashes(args) -> dict[str, str]:
+    """The same cases hashed in a subprocess whose library is the one under `args.against`."""
+    src = Path(args.against).resolve()
+    if not (src / "depthscale" / "__init__.py").is_file():
+        raise SystemExit(f"no depthscale package under {src}")
+    cmd = [sys.executable, __file__, "--height", str(args.height), "--width", str(args.width)]
+    done = subprocess.run(cmd + ["--smoke"] * args.smoke, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"hashing with {src} exited {done.returncode}:\n{done.stderr}")
+    return dict(line.split() for line in done.stdout.splitlines())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="the benchmark's smoke scenes")
     parser.add_argument("--height", type=int, default=480, help="full-frame height")
     parser.add_argument("--width", type=int, default=640, help="full-frame width")
+    parser.add_argument("--against", metavar="SRC", help="another checkout's src/ to compare with")
     args = parser.parse_args(argv)
 
     # The lidar-files frame prints its file paths: build it under a fixed
@@ -97,9 +117,17 @@ def main(argv=None) -> int:
         finally:
             os.chdir(here)
     lines += full_frame_lines(args.height, args.width)
-    for case, digest in lines:
-        print(case, digest)
-    return 0
+    if not args.against:
+        for case, digest in lines:
+            print(case, digest)
+        return 0
+    other = other_hashes(args)
+    rows = [(case, digest, other.pop(case, "-")) for case, digest in lines]
+    differ = [row for row in rows if row[1] != row[2]] + [(case, "-", d) for case, d in other.items()]
+    for row in differ:
+        print(*row)
+    print(f"{len(differ)} of {len(lines)} cases differ from {args.against}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

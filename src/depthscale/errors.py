@@ -3,8 +3,23 @@
 Two families matter for callers: InputError covers malformed files,
 shapes, coordinates, and arguments (CLI exit code 2), DegeneracyError
 covers fits or normalizations that cannot produce usable numbers
-(CLI exit code 3 once every fallback is exhausted).
+(CLI exit code 3 once every fallback is exhausted). The two value
+checks behind most InputErrors are shared here; neither takes a bool.
 """
+
+import math
+from numbers import Integral, Real
+
+
+def is_int_at_least(value, floor: int) -> bool:
+    """True for an integer, not a bool, >= floor."""
+    return type(value) is not bool and isinstance(value, Integral) and value >= floor
+
+
+def is_finite_real(value, low: float = -math.inf, *, above: bool = False) -> bool:
+    """True for a finite real number, not a bool, >= low (> low if `above`)."""
+    real = type(value) is not bool and isinstance(value, Real) and -math.inf < value < math.inf
+    return real and (value > low if above else value >= low)
 
 
 class DepthScaleError(Exception):

@@ -21,19 +21,21 @@ does (the same pairwise summation, the same BLAS dot, the same LAPACK
 call per matrix, the same selection, the same IEEE rounding), so a
 stacked fit is bit-identical to the fit of its list alone. A fit whose
 parameters are not all finite (an underflowed variance, an overflowed
-ratio) is rejected like a degenerate one. `fit_affine`, `fit_planar`
-and `fit_median_ratio` are the kernel on one list, raising where it
-would return None.
+ratio) is rejected like a degenerate one: in place of a fit, a list
+gets the DegeneracyError saying why. `fit_affine`, `fit_planar` and
+`fit_median_ratio` are `fit_batch` on one list, raising that refusal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    DegeneracyError,
     DegenerateDesign,
     InputError,
     InsufficientSamples,
@@ -163,19 +165,36 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
+def _refusal(
+    kind: str, n: int, condition: float, cond_max: float, design_ok: bool
+) -> DegeneracyError:
+    """Why a fit of kind `kind` on n observations is refused: too few of them, a
+    design rejected at `condition`, or (`design_ok`) parameters not all finite."""
+    if n < MIN_SUPPORT[kind]:
+        if kind == KIND_MEDIAN:
+            return InsufficientSamples("median-ratio fit needs at least 1 observation")
+        return InsufficientSamples(f"{kind} fit needs >= {MIN_SUPPORT[kind]} observations, got {n}")
+    if design_ok:
+        return NonFiniteFit(f"{kind} fit parameters are not finite in 64-bit arithmetic")
+    if kind == KIND_AFFINE:
+        return DegenerateDesign("relative depths are constant; scale and shift are not identifiable")
+    if kind == KIND_PLANAR:
+        return DegenerateDesign(
+            f"planar design condition {condition:.3e} exceeds {cond_max:.1e} (rank-deficient or near it)"
+        )
+    return ZeroMedian("median of relative depths is zero")
+
+
 def _fit_stack(
-    kind: str, obs: PairedObservations, rows, cond_max: float
-) -> tuple[list[FitParams | None], np.ndarray, np.ndarray]:
+    kind: str, obs: PairedObservations, rows: np.ndarray, cond_max: float
+) -> list[FitParams | DegeneracyError]:
     """Fits of the observation lists obs[rows[i]], all of length n >= MIN_SUPPORT[kind].
 
-    `rows` indexes each observation array into a (k, n) stack: a (k, n)
-    integer array, or `np.s_[None, :]` for all observations as one list
-    (a view, with nothing copied). Returns each row's FitParams, or None
-    where its fit is rejected; each row's design condition (1.0 for
-    median-ratio); and whether each row's design was accepted. Every row
-    is solved, into one (k, 4) array of alpha, beta, gamma and delta,
-    with floating-point warnings off: a row is fitted only where its
-    design is accepted and its parameters are all finite, so a rejected
+    `rows` is a (k, n) integer array. Returns each row's FitParams, or
+    the DegeneracyError saying why its fit is refused. Every row is
+    solved, into one (k, 4) array of alpha, beta, gamma and delta, with
+    floating-point warnings off: a row is fitted only where its design
+    is accepted and its parameters are all finite, so a rejected
     design's division by zero, or a solve that overflows or divides by
     an underflowed zero, never reaches a FitParams.
     """
@@ -207,11 +226,11 @@ def _fit_stack(
             coeffs[:, 0] = np.partition(z1, mid, axis=1)[:, mid] / m2
             condition = np.ones(k)
     fitted = accepted & np.isfinite(coeffs).all(axis=1)
-    params = [
-        FitParams(kind, *terms, n, cond) if ok else None
-        for terms, cond, ok in zip(coeffs.tolist(), condition.tolist(), fitted.tolist())
+    outcomes = zip(coeffs.tolist(), condition.tolist(), fitted.tolist(), accepted.tolist())
+    return [
+        FitParams(kind, *terms, n, cond) if ok else _refusal(kind, n, cond, cond_max, design_ok)
+        for terms, cond, ok, design_ok in outcomes
     ]
-    return params, condition, accepted
 
 
 def fit_batch(
@@ -219,33 +238,34 @@ def fit_batch(
     obs: PairedObservations,
     groups: Sequence[np.ndarray],
     cond_max: float = DEFAULT_COND_MAX,
-) -> list[FitParams | None]:
-    """The fit of kind `kind` on each observation list obs[groups[i]], or None.
+) -> list[FitParams | DegeneracyError]:
+    """The fit of kind `kind` on each observation list obs[groups[i]], or why it is refused.
 
-    None marks a list the one-list fit would refuse: too short for the
-    kind, or rejected as degenerate. The lists of each length are fitted
-    together as one stack, bit-identical to fitting each alone.
+    A refused list, too short for the kind or rejected as degenerate,
+    gets the DegeneracyError its one-list fit raises. The lists of each
+    length are fitted together as one stack, bit-identical to fitting
+    each alone.
     """
     by_size: dict[int, list[int]] = {}
     for i, group in enumerate(groups):
         by_size.setdefault(len(group), []).append(i)
-    params: list[FitParams | None] = [None] * len(groups)
+    params: list = [None] * len(groups)
     for n, at in by_size.items():
         if n >= MIN_SUPPORT[kind]:
-            fits = _fit_stack(kind, obs, np.array([groups[i] for i in at]), cond_max)[0]
-            for i, fit in zip(at, fits):
-                params[i] = fit
+            fits = _fit_stack(kind, obs, np.array([groups[i] for i in at]), cond_max)
+        else:
+            fits = [_refusal(kind, n, math.nan, cond_max, False) for _ in at]
+        for i, fit in zip(at, fits):
+            params[i] = fit
     return params
 
 
-def _fit_all(kind: str, obs: PairedObservations, cond_max: float) -> tuple[FitParams | None, float]:
-    """One fit on every observation: its FitParams, or None where its design
-    is rejected, and its condition. Raises NonFiniteFit where the design is
-    accepted but the parameters are not all finite."""
-    [params], [condition], [accepted] = _fit_stack(kind, obs, np.s_[None, :], cond_max)
-    if accepted and params is None:
-        raise NonFiniteFit(f"{kind} fit parameters are not finite in 64-bit arithmetic")
-    return params, condition
+def _fit_one(kind: str, obs: PairedObservations, cond_max: float = DEFAULT_COND_MAX) -> FitParams:
+    """`fit_batch` on every observation as one list; raises its refusal."""
+    [fit] = fit_batch(kind, obs, [np.arange(len(obs))], cond_max)
+    if isinstance(fit, DegeneracyError):
+        raise fit
+    return fit
 
 
 def fit_affine(obs: PairedObservations) -> FitParams:
@@ -255,13 +275,7 @@ def fit_affine(obs: PairedObservations) -> FitParams:
     Raises DegenerateDesign when the z2 values are constant to within a
     1e-12 relative spread.
     """
-    n = len(obs)
-    if n < MIN_SUPPORT[KIND_AFFINE]:
-        raise InsufficientSamples(f"affine fit needs >= 2 observations, got {n}")
-    params, _ = _fit_all(KIND_AFFINE, obs, DEFAULT_COND_MAX)
-    if params is None:
-        raise DegenerateDesign("relative depths are constant; scale and shift are not identifiable")
-    return params
+    return _fit_one(KIND_AFFINE, obs)
 
 
 def fit_planar(obs: PairedObservations, cond_max: float = DEFAULT_COND_MAX) -> FitParams:
@@ -273,26 +287,12 @@ def fit_planar(obs: PairedObservations, cond_max: float = DEFAULT_COND_MAX) -> F
     in the span of x and y) raises DegenerateDesign, since beyond that
     the parameters are numerically meaningless in 64-bit arithmetic.
     """
-    n = len(obs)
-    if n < MIN_SUPPORT[KIND_PLANAR]:
-        raise InsufficientSamples(f"planar fit needs >= 4 observations, got {n}")
-    params, cond = _fit_all(KIND_PLANAR, obs, cond_max)
-    if params is None:
-        raise DegenerateDesign(
-            f"planar design condition {cond:.3e} exceeds {cond_max:.1e} (rank-deficient or near it)"
-        )
-    return params
+    return _fit_one(KIND_PLANAR, obs, cond_max)
 
 
 def fit_median_ratio(obs: PairedObservations) -> FitParams:
     """Scale by the ratio of medians: alpha = median(z1) / median(z2)."""
-    n = len(obs)
-    if n < MIN_SUPPORT[KIND_MEDIAN]:
-        raise InsufficientSamples("median-ratio fit needs at least 1 observation")
-    params, _ = _fit_all(KIND_MEDIAN, obs, DEFAULT_COND_MAX)
-    if params is None:
-        raise ZeroMedian("median of relative depths is zero")
-    return params
+    return _fit_one(KIND_MEDIAN, obs)
 
 
 def planar_terms(fits: Sequence[FitParams]) -> np.ndarray:

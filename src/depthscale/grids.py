@@ -35,8 +35,16 @@ class _Handed:
 
 
 def _readonly(arr, dtype) -> np.ndarray:
-    """The read-only array kept for `arr`: a handed-over array itself, else a copy."""
-    out = arr.array if isinstance(arr, _Handed) else np.array(arr, dtype=dtype)
+    """The read-only array kept for `arr`: a handed-over array itself, else a
+    copy, which a cast to an integer dtype must leave with the same values."""
+    if isinstance(arr, _Handed):
+        out = arr.array
+    else:
+        source = np.asarray(arr)
+        with np.errstate(invalid="ignore"):  # a NaN cast to an integer
+            out = source.astype(dtype)
+        if source.dtype != out.dtype and out.dtype.kind == "i" and not np.array_equal(out, source):
+            raise InputError(f"{source.dtype} values change when cast to {out.dtype}")
     out.setflags(write=False)
     return out
 

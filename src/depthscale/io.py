@@ -26,7 +26,6 @@ import struct
 import sys
 from dataclasses import asdict, dataclass, fields
 from io import StringIO
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .errors import (
     DuplicateSample,
     InputError,
     UnknownFormat,
+    is_finite_real,
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples
 from .metrics import CSV_COLUMNS
@@ -198,7 +198,7 @@ def load_depth(path, pgm_scale: float | None = None) -> DepthGrid:
             scale = pgm_scale if pgm_scale is not None else _sidecar_scale(path)
             if scale is None:
                 scale = DEFAULT_PGM_SCALE
-            if not (isinstance(scale, Real) and 0 < scale < math.inf):
+            if not is_finite_real(scale, 0, above=True):
                 raise InputError(f"PGM depth scale must be finite and > 0, got {scale!r}")
             values = raw.astype(np.float64)
             values /= float(scale)

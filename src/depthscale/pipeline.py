@@ -16,7 +16,8 @@ only when some region needs them. A fit is a pure function of its kind
 and its ordered observations, so it is memoized, rejections included: a
 region entry's on (kind, ordered absorbed regions), a global entry's on
 (kind, None) for every observation. Each round's missing lists go to
-`fitting.fit_batch`, the stage's only fit, together. How a fit was
+`fitting.fit_batch`, the stage's only fit, together; a chain that runs
+out raises the refusal it gave the last global entry. How a fit was
 placed on a region (its provenance and hop) belongs to the region's
 report, so every region placed on one list shares its FitParams. The
 output is bit-deterministic for identical inputs and configuration.
@@ -32,13 +33,21 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, InsufficientSamples, NoSamples
+from .errors import (
+    DegeneracyError,
+    DimensionMismatch,
+    InputError,
+    InsufficientSamples,
+    NoSamples,
+    is_finite_real,
+    is_int_at_least,
+)
 from .fitting import (
     KIND_AFFINE,
     KIND_MEDIAN,
@@ -48,15 +57,15 @@ from .fitting import (
     FitParams,
     PairedObservations,
     apply_fit,
-    fit_affine,
+    fit_affine,  # noqa: F401  (the benchmark's tracer wraps these three under these names)
     fit_batch,
-    fit_median_ratio,
-    fit_planar,  # noqa: F401  (the benchmark's tracer wraps it under this name)
+    fit_median_ratio,  # noqa: F401
+    fit_planar,  # noqa: F401
     pair_observations,
     planar_terms,
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
-from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, NormalizationStats, affine_invariant_normalize
+from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, affine_invariant_normalize
 from .regions import (
     CONNECTIVITIES,
     RegionGraph,
@@ -95,10 +104,6 @@ VOID_CLAMP = (0.2, 5.0)
 _NORMALIZING_METHODS = (METHOD_SLF, METHOD_SSF, METHOD_GLOBAL_LINEAR)
 
 
-def _is_int_at_least(value, floor: int) -> bool:
-    return type(value) is not bool and isinstance(value, Integral) and value >= floor
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything that parameterizes one rescaling run."""
@@ -126,15 +131,17 @@ class PipelineConfig:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
         for name, kind in (("min_samples_linear", KIND_AFFINE), ("min_samples_planar", KIND_PLANAR)):
             value, floor = getattr(self, name), MIN_SUPPORT[kind]
-            if not _is_int_at_least(value, floor):
+            if not is_int_at_least(value, floor):
                 raise InputError(f"{name} must be an integer >= {floor}, got {value!r}")
         hops = self.max_hops
-        if hops is not None and not _is_int_at_least(hops, 0):
+        if hops is not None and not is_int_at_least(hops, 0):
             raise InputError(f"max_hops must be None or an integer >= 0, got {hops!r}")
-        if not (isinstance(self.cond_max, Real) and 0 < self.cond_max < math.inf):
+        if not is_finite_real(self.cond_max, 0, above=True):
             raise InputError(f"cond_max must be finite and > 0, got {self.cond_max!r}")
-        if self.connectivity not in CONNECTIVITIES:
+        if not (is_int_at_least(self.connectivity, 0) and self.connectivity in CONNECTIVITIES):
             raise InputError(f"connectivity must be one of {CONNECTIVITIES}")
+        if type(self.merge_same_label) is not bool:
+            raise InputError(f"merge_same_label must be true or false, got {self.merge_same_label!r}")
         if self.normalization not in NORMALIZATION_MODES:
             raise InputError(f"unknown normalization {self.normalization!r}")
         clamp = self.clamp
@@ -219,16 +226,6 @@ class RegionReports(Sequence[RegionReport]):
         fit, hop, rmse = self.fits[self.fit_of[i]], int(self.hop[i]), float(self.residual_rmse[i])
         return RegionReport(i, fit, _PROVENANCE[min(hop, 1)], max(hop, 0), rmse)
 
-    def __iter__(self) -> Iterator[RegionReport]:
-        fits = np.array(self.fits, dtype=object)[self.fit_of].tolist()
-        rmse = self.residual_rmse.tolist()
-        return map(RegionReport, range(len(self)), fits, *self._placements(), rmse)
-
-    def _placements(self) -> tuple[list[str], list[int]]:
-        """Each region's provenance and hop (0 for a global fit), as lists."""
-        provenance = np.array(_PROVENANCE, dtype=object)[np.minimum(self.hop, 1)]
-        return provenance.tolist(), np.maximum(self.hop, 0).tolist()
-
     def columns(self) -> tuple[dict[str, list], np.ndarray, dict[str, list]]:
         """The items' `as_dict` values by key, without building the items.
 
@@ -240,12 +237,12 @@ class RegionReports(Sequence[RegionReport]):
         per_fit["samples_used"] = per_fit["support"]
         rmse = self.residual_rmse.astype(object)
         rmse[~np.isfinite(self.residual_rmse)] = None
-        provenance, hop = self._placements()
+        provenance = np.array(_PROVENANCE, dtype=object)[np.minimum(self.hop, 1)]
         per_region = {
             "region_id": list(range(len(self))),
-            "hop": hop,
+            "hop": np.maximum(self.hop, 0).tolist(),
             "residual_rmse": rmse.tolist(),
-            "provenance": provenance,
+            "provenance": provenance.tolist(),
         }
         return per_fit, self.fit_of, per_region
 
@@ -288,15 +285,6 @@ def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: 
     return out
 
 
-def _on_normalized(fits: list[FitParams], stats: NormalizationStats) -> list[FitParams]:
-    """The fits on the normalized map: a median-ratio fit scales the raw one, s * map + t."""
-    return [
-        FitParams(KIND_AFFINE, p.alpha * stats.s, p.alpha * stats.t, 0.0, 0.0, p.support, 1.0)
-        if p.kind == KIND_MEDIAN else p
-        for p in fits
-    ]
-
-
 def fit_regions(
     graph: RegionGraph, paired: PairedObservations, cfg: PipelineConfig, raw: DepthGrid
 ) -> tuple[list[FitParams], np.ndarray, np.ndarray]:
@@ -314,8 +302,9 @@ def fit_regions(
 
     Fits are memoized on (kind, absorbed sample-holding regions in order),
     a global entry's on (kind, None), rejections included; each round's
-    lists missing from the memo go to one `fit_batch` call. A global entry
-    that leaves regions without a fit runs its one-list fit to raise why.
+    lists missing from the memo go to one `fit_batch` call. A chain that
+    runs out raises the refusal `fit_batch` gave its last global entry,
+    the only refusals kept.
     The hop rings (`SourceRings`) grow only as far as the regions still
     without a fit need; a round in which they cannot grow for a region
     still unsettled raises RuntimeError.
@@ -330,6 +319,8 @@ def fit_regions(
     accepted: list[FitParams] = []
     # each fitted list's position in `accepted`, -1 for a rejected one
     memo: dict[tuple, int] = {}
+    # why each global entry's fit was refused, by kind (the only refusals raised)
+    refused: dict[str, DegeneracyError] = {}
     # the observations a fit kind sees where they are not `paired`: median-ratio
     # fits see the raw map, gathered when first needed
     seen: dict[str, PairedObservations] = {}
@@ -346,11 +337,13 @@ def fit_regions(
             ]
             fitted = fit_batch(kind, seen.get(kind, paired), groups, cfg.cond_max)
             for key, params in zip(missing, fitted):
-                if params is None:
-                    memo[key] = -1
-                else:
+                if isinstance(params, FitParams):
                     memo[key] = len(accepted)
                     accepted.append(params)
+                else:
+                    memo[key] = -1
+                    if key[1] is None:
+                        refused[kind] = params
         return [memo[key] for key in keys]
 
     def attempt(kind: str, source, start, end) -> np.ndarray:
@@ -429,8 +422,8 @@ def fit_regions(
     unfit = np.flatnonzero(fit_of < 0)
     if unfit.size:
         last = next((_GLOBAL_KIND[e] for e in reversed(chain) if e in _GLOBAL_KIND), None)
-        if last is not None:  # fitted by every unfit region: its one-list fit raises why
-            (fit_affine if last == KIND_AFFINE else fit_median_ratio)(seen.get(last, paired))
+        if last is not None:  # tried by every unfit region, and refused
+            raise refused[last]
         raise InsufficientSamples(
             f"region {unfit[0]}: fallback chain {chain} exhausted without a usable fit"
         )
@@ -494,6 +487,10 @@ def rescale(
     graph = build_region_graph(region_mask, paired, cfg.connectivity)
 
     fits, fit_of, hop = fit_regions(graph, paired, cfg, d_in)
-    applied = fits if stats is None else _on_normalized(fits, stats)
-    out = apply_fit(working, region_mask, planar_terms(applied)[fit_of], cfg.clamp)
+    terms = planar_terms(fits)
+    if stats is not None:  # a median-ratio fit scales the raw map, which is s * normalized + t
+        median = np.array([p.kind == KIND_MEDIAN for p in fits], dtype=bool)
+        terms[median, 3] = terms[median, 0] * stats.t
+        terms[median, 0] *= stats.s
+    out = apply_fit(working, region_mask, terms[fit_of], cfg.clamp)
     return out, RegionReports(fits, fit_of, hop, _residual_rmse(out, paired, graph))

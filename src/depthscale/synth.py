@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, InvalidSpec, TooManyRequested
+from .errors import InputError, InvalidSpec, TooManyRequested, is_finite_real, is_int_at_least
 from .grids import DepthGrid, LabelGrid, SparseSamples
-from .pipeline import _is_int_at_least
 from .regions import split_into_components
 
 LAYOUT_GRID = "grid"
@@ -50,14 +49,14 @@ MIN_SAMPLE_DEPTH = 1e-6
 
 def _rng(seed, tag: int) -> np.random.Generator:
     key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-    if not all(_is_int_at_least(k, 0) for k in key):
+    if not all(is_int_at_least(k, 0) for k in key):
         raise InputError(f"seed must be an integer >= 0 or a sequence of them, got {seed!r}")
     return np.random.default_rng([tag] + [int(k) for k in key])
 
 
 def _add_noise(depths: np.ndarray, noise_sigma, seed) -> np.ndarray:
     """`depths` plus seeded Gaussian noise of `noise_sigma` meters, kept positive."""
-    if not (isinstance(noise_sigma, Real) and 0 <= noise_sigma < math.inf):
+    if not is_finite_real(noise_sigma, 0):
         raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     if noise_sigma == 0:
         return depths
@@ -113,7 +112,7 @@ class Distortion:
             raise InvalidSpec("distortion scale a must be positive")
         if self.kind == DISTORT_NONLINEAR and self.gamma <= 0:
             raise InvalidSpec("nonlinear exponent gamma must be positive")
-        if not (isinstance(self.noise_sigma, Real) and 0 <= self.noise_sigma < math.inf):
+        if not is_finite_real(self.noise_sigma, 0):
             raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
     def inverse(self, gt: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,7 +251,7 @@ def sample_uniform(
     may be an int or a sequence of ints; identical seeds reproduce the
     identical sample set.
     """
-    if not _is_int_at_least(n, 0):
+    if not is_int_at_least(n, 0):
         raise InputError(f"n_samples must be an integer >= 0, got {n!r}")
     flat_valid = np.flatnonzero(gt.valid.ravel())
     if n > flat_valid.size:
@@ -273,7 +272,7 @@ def sample_beams(
     With beams == height every valid pixel is sampled.
     """
     height = gt.height
-    if not _is_int_at_least(beams, 1):
+    if not is_int_at_least(beams, 1):
         raise InputError(f"beams must be an integer >= 1, got {beams!r}")
     if beams > height:
         raise TooManyRequested(f"{beams} beams exceed {height} image rows")
@@ -437,7 +436,7 @@ def _from_fields(cls, doc, prefix: str, **given):
     for f in (f for f in fields(cls) if f.name not in given):
         value = doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
         name = prefix + f.name
-        if f.type == "int" and not _is_int_at_least(value, 0):
+        if f.type == "int" and not is_int_at_least(value, 0):
             raise InvalidSpec(f"scene spec field {name} must be an integer >= 0, got {value!r}")
         finite = type(value) is not bool and isinstance(value, Real) and math.isfinite(value)
         if f.type == "float" and not finite:

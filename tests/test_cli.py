@@ -511,6 +511,10 @@ def test_fractional_sample_minimum_in_manifest_exits_2(tmp_path, sparse_scene, c
         ("clamp", [0.5, None]),
         ("clamp", 5),
         ("fallback_chain", 5),
+        ("noise_sigma", True),
+        ("merge_same_label", "false"),
+        ("connectivity", 4.0),
+        ("cond_max", True),
     ],
 )
 def test_malformed_manifest_field_exits_2(tmp_path, scene_dir, capsys, field, value):

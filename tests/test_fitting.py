@@ -595,10 +595,11 @@ def test_fit_batch_matches_scalar_fits_bit_for_bit(case, kind):
         lists = obs.take(group)
         want = fit_outcome(reference, lists, *([cond_max] if kind == KIND_PLANAR else []))
         assert fit_outcome(single, lists, cond_max) == want
-        if isinstance(want[0], FitParams):
+        if isinstance(params, FitParams):
             assert (params, repr(params.as_dict())) == want
-        else:
-            assert params is None
+        else:  # a refusal: the very error the one-list fit raises
+            assert isinstance(params, DegeneracyError)
+            assert (type(params).__name__, str(params)) == want
 
 
 # ------------------------------------------------------- non-finite fits
@@ -611,7 +612,8 @@ def test_affine_fit_whose_variance_underflows_is_rejected():
     obs = obs_from([1e-170, 2e-170, 3e-170], [1.0, 2.0, 3.0])
     with pytest.raises(NonFiniteFit, match="affine fit parameters are not finite"):
         fit_affine(obs)
-    assert fit_batch(KIND_AFFINE, obs, [np.arange(3)]) == [None]
+    [refused] = fit_batch(KIND_AFFINE, obs, [np.arange(3)])
+    assert type(refused) is NonFiniteFit and "affine fit parameters are not finite" in str(refused)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -620,4 +622,5 @@ def test_median_ratio_that_overflows_is_rejected():
     with pytest.raises(NonFiniteFit, match="median fit parameters are not finite"):
         fit_median_ratio(obs)
     fits = fit_batch(KIND_MEDIAN, obs, [np.arange(3), np.array([2]), np.array([0])])
-    assert fits == [None, fit_median_ratio(obs.take(np.array([2]))), None]
+    assert fits[1] == fit_median_ratio(obs.take(np.array([2])))
+    assert [type(fit) for fit in fits[::2]] == [NonFiniteFit, NonFiniteFit]

@@ -197,6 +197,28 @@ def test_sample_invariants():
         SparseSamples.from_points([(-1, 0, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LabelGrid(np.array([[0, 2**40]])),  # would wrap to 0 in int32
+        lambda: LabelGrid([[0.5, 1.7]]),  # would truncate to 0 and 1
+        lambda: LabelGrid([[0.0, np.nan]]),
+        lambda: LabelGrid(np.array([[0, 2**63]], dtype=np.uint64)),
+        lambda: SparseSamples([1.5], [2.7], [1.0]),  # would keep pixel (1, 2)
+        lambda: SparseSamples([0], [1e30], [1.0]),
+    ],
+)
+def test_integer_cast_that_changes_a_value_is_refused(make):
+    with pytest.raises(InputError, match="values change when cast to int"):
+        make()
+
+
+def test_integer_cast_that_keeps_every_value_is_accepted():
+    assert LabelGrid([[0.0, 3.0]]).labels.tolist() == [[0, 3]]
+    assert LabelGrid(np.array([[0, 2**31 - 1]], dtype=np.uint64)).labels.dtype == np.int32
+    assert SparseSamples([1.0], np.array([2], dtype=np.int32), [1.0]).points == [(1, 2, 1.0)]
+
+
 @settings(max_examples=50)
 @given(
     st.lists(

@@ -177,12 +177,14 @@ def test_saved_bytes_are_the_copies_the_writers_made_before(tmp_path):
     assert np.array_equal(io.load_mask(tmp_path / "m.pgm").labels, mask.labels)
 
 
-@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, True])
 def test_pgm_scale_must_be_finite_and_positive(tmp_path, scale):
     path = tmp_path / "d.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n" + np.array([[200]], dtype=">u2").tobytes())
     with pytest.raises(InputError, match="PGM depth scale"):
         io.load_depth(path, pgm_scale=scale)
+    if type(scale) is bool:  # a sidecar holds a number's text, never a bool
+        return
     (tmp_path / "d.pgm.scale").write_text(f"{scale}\n")
     with pytest.raises(InputError, match="PGM depth scale"):
         io.load_depth(path)

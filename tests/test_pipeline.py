@@ -221,14 +221,14 @@ def test_global_linear_fits_every_observation_as_one_list(monkeypatch):
     assert all(r.params is reports[0].params and r.provenance == "global" for r in reports)
 
 
-@pytest.mark.parametrize(
-    "chain, error, message",
-    [
-        (("slf", "global-median", "global-linear"), InsufficientSamples,
-         "affine fit needs >= 2 observations, got 1"),
-        (("slf", "global-linear", "global-median"), ZeroMedian, "median of relative depths is zero"),
-    ],
-)
+EXHAUSTED_CHAINS = [
+    (("slf", "global-median", "global-linear"), InsufficientSamples,
+     "affine fit needs >= 2 observations, got 1"),
+    (("slf", "global-linear", "global-median"), ZeroMedian, "median of relative depths is zero"),
+]
+
+
+@pytest.mark.parametrize("chain, error, message", EXHAUSTED_CHAINS)
 def test_exhausted_chain_raises_the_last_global_entrys_reason(chain, error, message):
     # one sample, on a raw relative depth of 0: every entry is left without a fit
     values = relative_map(8).values.copy()
@@ -238,6 +238,22 @@ def test_exhausted_chain_raises_the_last_global_entrys_reason(chain, error, mess
     cfg = PipelineConfig(method="slf", fallback_chain=chain)
     with pytest.raises(error, match=rf"^{message}$"):
         rescale(d_in, uniform_mask(d_in.shape), samples, cfg)
+
+
+@pytest.mark.parametrize("chain, error, message", EXHAUSTED_CHAINS)
+def test_exhausted_chain_raises_the_memoized_refusal(monkeypatch, chain, error, message):
+    # The reason is the refusal `fit_batch` gave the global list, not a
+    # second fit of it: no one-list fit may run.
+    import depthscale.fitting as fitting
+    import depthscale.pipeline as pipeline
+
+    def refit(*args, **kwargs):
+        raise AssertionError("the global list was fitted a second time")
+
+    for owner in (pipeline, fitting):
+        for name in ("fit_affine", "fit_planar", "fit_median_ratio"):
+            monkeypatch.setattr(owner, name, refit)
+    test_exhausted_chain_raises_the_last_global_entrys_reason(chain, error, message)
 
 
 def test_coverage_write_once():
@@ -428,6 +444,10 @@ def test_cli_frame_peak_memory_is_a_few_grids(twenty_region_scene, tmp_path):
         ("fallback_chain", 5),
         ("fallback_chain", [["median"]]),
         ("fallback_chain", ["slf"]),
+        ("cond_max", True),
+        ("connectivity", 4.0),
+        ("merge_same_label", "false"),
+        ("merge_same_label", 1),
     ],
 )
 def test_config_rejects_out_of_range_hops_and_condition(field, value):

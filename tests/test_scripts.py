@@ -119,3 +119,7 @@ def test_output_hashes_smoke(tmp_path):
     ]
     assert all(len(digest) == 64 for _, digest in rows)
     assert not any(tmp_path.iterdir())  # the lidar-files frame's files are gone
+    same = run_script("output_hashes.py", "--smoke", "--height", "60", "--width", "80",
+                      "--against", str(ROOT / "src"), cwd=tmp_path)
+    assert (same.returncode, same.stdout) == (0, ""), same.stderr
+    assert same.stderr == f"0 of {len(rows)} cases differ from {ROOT / 'src'}\n"

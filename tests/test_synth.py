@@ -239,6 +239,7 @@ def test_beams_skip_invalid_pixels():
         ({"noise_sigma": float("nan")}, "noise_sigma"),
         ({"noise_sigma": -1.0}, "noise_sigma"),
         ({"noise_sigma": float("inf")}, "noise_sigma"),
+        ({"noise_sigma": True}, "noise_sigma"),
     ],
 )
 def test_sampling_rejects_malformed_inputs(kwargs, field):
@@ -342,7 +343,7 @@ def test_scene_spec_json_fields_by_dataclass():
         scene_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.5, "0.1", None])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.5, "0.1", None, True])
 def test_distortion_noise_sigma_must_be_finite_and_non_negative(sigma):
     with pytest.raises(InvalidSpec, match="noise_sigma"):
         Distortion("affine", noise_sigma=sigma)
