@@ -91,8 +91,9 @@ def other_hashes(args) -> dict[str, str]:
     if not (src / "depthscale" / "__init__.py").is_file():
         raise SystemExit(f"no depthscale package under {src}")
     cmd = [sys.executable, __file__, "--height", str(args.height), "--width", str(args.width)]
-    done = subprocess.run(cmd + ["--smoke"] * args.smoke, env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, check=False)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(cmd + ["--smoke"] * args.smoke, env=env, capture_output=True, text=True,
+                          check=False)
     if done.returncode != 0:
         raise SystemExit(f"hashing with {src} exited {done.returncode}:\n{done.stderr}")
     return dict(line.split() for line in done.stdout.splitlines())
@@ -123,10 +124,11 @@ def main(argv=None) -> int:
         return 0
     other = other_hashes(args)
     rows = [(case, digest, other.pop(case, "-")) for case, digest in lines]
-    differ = [row for row in rows if row[1] != row[2]] + [(case, "-", d) for case, d in other.items()]
+    rows += [(case, "-", digest) for case, digest in other.items()]  # hashed by the other alone
+    differ = [row for row in rows if row[1] != row[2]]
     for row in differ:
         print(*row)
-    print(f"{len(differ)} of {len(lines)} cases differ from {args.against}", file=sys.stderr)
+    print(f"{len(differ)} of {len(rows)} cases differ from {args.against}", file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -35,7 +35,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from numbers import Real
 
 import numpy as np
 
@@ -145,9 +144,9 @@ class PipelineConfig:
         if self.normalization not in NORMALIZATION_MODES:
             raise InputError(f"unknown normalization {self.normalization!r}")
         clamp = self.clamp
-        numbers = all(type(v) is not bool and isinstance(v, Real) for v in clamp)
-        if not (len(clamp) == 2 and numbers and 0 < clamp[0] <= clamp[1]):
-            raise InputError(f"clamp must be two numbers with 0 < min <= max, got {clamp}")
+        numbers = all(is_finite_real(v, 0, above=True) for v in clamp)
+        if not (len(clamp) == 2 and numbers and clamp[0] <= clamp[1]):
+            raise InputError(f"clamp must be two finite numbers with 0 < min <= max, got {clamp}")
         for entry in self.fallback_chain:
             if entry not in METHODS:
                 raise InputError(f"unknown fallback_chain entry {entry!r}; choose from {METHODS}")

@@ -515,6 +515,7 @@ def test_fractional_sample_minimum_in_manifest_exits_2(tmp_path, sparse_scene, c
         ("merge_same_label", "false"),
         ("connectivity", 4.0),
         ("cond_max", True),
+        ("clamp", [0.001, float("inf")]),
     ],
 )
 def test_malformed_manifest_field_exits_2(tmp_path, scene_dir, capsys, field, value):

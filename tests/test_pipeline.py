@@ -448,6 +448,7 @@ def test_cli_frame_peak_memory_is_a_few_grids(twenty_region_scene, tmp_path):
         ("connectivity", 4.0),
         ("merge_same_label", "false"),
         ("merge_same_label", 1),
+        ("clamp", [1.0, math.inf]),
     ],
 )
 def test_config_rejects_out_of_range_hops_and_condition(field, value):
