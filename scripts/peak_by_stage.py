@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Per-stage tracemalloc table for one lidar-files-style CLI frame.
+"""Per-stage tracemalloc table for the benchmark's lidar-files CLI frame.
 
-Builds inputs like those of the benchmark's lidar-files workload for one
-scene (a float32 PFM inverse-depth map with 1% invalid pixels, a 16-bit
-PGM mask of Voronoi regions, a scanline samples CSV and a DPG ground
-truth; the scene draws use their own seeding), then runs
+Builds the inputs of the benchmark's lidar-files workload for one scene
+with `workloads.LidarFiles(smoke).build(seed, 0, workdir)` (a float32 PFM
+inverse-depth map with 1% invalid pixels, a 16-bit PGM mask of Voronoi
+regions, a scanline samples CSV and a DPG ground truth), then runs
 `depthscale rescale --method ssf` and `depthscale evaluate` in process
 under tracemalloc, as the benchmark's `peak_alloc_mb` does. Each stage
 function is wrapped where its caller looks it up, and prints one row:
@@ -13,8 +13,7 @@ counted from the start of the frame. The last row is the frame peak.
 
 Example:
     python scripts/peak_by_stage.py --seed 0
-    python scripts/peak_by_stage.py --height 96 --width 128 --regions 6 --beams 12
-"""
+    python scripts/peak_by_stage.py --smoke"""
 
 from __future__ import annotations
 
@@ -23,20 +22,21 @@ import contextlib
 import gc
 import importlib
 import io as _stdio
-import itertools
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 try:
     import depthscale  # noqa: F401
 except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-import numpy as np
+from depthscale import cli
 
-from depthscale import cli, grids, io, synth
+import workloads
 
 # Stage name -> (module, attribute) where its caller looks it up. None of
 # these calls another, so each row's peak is its own.
@@ -55,38 +55,6 @@ STAGES = {
     "io.save_region_reports": ("depthscale.io", "save_region_reports"),
     "evaluate": ("depthscale.cli", "evaluate"),
 }
-INVALID_SHARE = 0.01
-
-
-def build_inputs(args, workdir: Path) -> tuple[list[str], list[str]]:
-    """Write one scene's input files; the rescale and evaluate arguments."""
-    beam_rows = (2 * np.arange(args.beams) + 1) * args.height // (2 * args.beams)
-    for attempt in itertools.count():
-        spec = synth.random_scene(
-            int(np.random.SeedSequence([args.seed, attempt]).generate_state(1)[0]),
-            height=args.height,
-            width=args.width,
-            region_range=(args.regions, args.regions),
-            distortion="planar",
-            shift_range=(-6.0, -1.5),
-            curvature_range=(0.2, 1.0),
-            min_region_pixels=args.height * args.width // (4 * args.regions),
-        )
-        gt, rel, mask = synth.generate_scene(spec)
-        labels = mask.labels[beam_rows]
-        # every region crossed by two scanlines, so each fits on its own samples
-        if min(np.any(labels == i, axis=1).sum() for i in range(spec.n_regions)) >= 2:
-            break
-    valid = np.random.default_rng(args.seed).random(gt.shape) >= INVALID_SHARE
-    paths = {name: str(workdir / name) for name in ("depth.pfm", "mask.pgm", "samples.csv", "gt.dpg")}
-    io.save_depth(grids.DepthGrid(np.where(valid, 1.0 / rel.values, 0.0), valid), paths["depth.pfm"])
-    io.save_mask(mask, paths["mask.pgm"])
-    io.save_samples(synth.sample_beams(gt, args.beams), paths["samples.csv"])
-    io.save_depth(gt, paths["gt.dpg"])
-    out = str(workdir / "metric.dpg")
-    rescale = ["rescale", "--depth", paths["depth.pfm"], "--mask", paths["mask.pgm"],
-               "--samples", paths["samples.csv"], "--method", "ssf", "--out", out]
-    return rescale, ["evaluate", "--pred", out, "--gt", paths["gt.dpg"]]
 
 
 def traced_frame(argvs: list[list[str]]) -> tuple[list[tuple[str, int, int]], int]:
@@ -137,20 +105,19 @@ def traced_frame(argvs: list[list[str]]) -> tuple[list[tuple[str, int, int]], in
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--height", type=int, default=480)
-    parser.add_argument("--width", type=int, default=640)
-    parser.add_argument("--regions", type=int, default=20)
-    parser.add_argument("--beams", type=int, default=16)
+    parser.add_argument("--smoke", action="store_true", help="the benchmark's smoke scene")
     args = parser.parse_args(argv)
 
+    workload = workloads.LidarFiles(args.smoke)
     with tempfile.TemporaryDirectory() as tmp:
-        argvs = build_inputs(args, Path(tmp))
+        scene = workload.build(args.seed, 0, Path(tmp))
+        argvs = [scene["rescale"], scene["evaluate"]]
         with contextlib.redirect_stdout(_stdio.StringIO()):
             cli.main(argvs[0])  # warm-up: imports and caches stay out of the table
         rows, frame_peak = traced_frame(argvs)
-    grid_mb = args.height * args.width * 8 / 1e6
-    print(f"# {args.height}x{args.width}, {args.regions} regions, {args.beams} beams, seed {args.seed}; "
-          f"one float64 grid is {grid_mb:.3f} MB")
+    h, w = workload.height, workload.width
+    print(f"# {h}x{w}, {workload.regions} regions, {workload.beams} beams, seed {args.seed}; "
+          f"one float64 grid is {h * w * 8 / 1e6:.3f} MB")
     print(f"{'stage':<28} {'live MB':>9} {'peak MB':>9}")
     for name, live, peak in rows:
         print(f"{name:<28} {live / 1e6:>9.3f} {peak / 1e6:>9.3f}")

@@ -20,14 +20,7 @@ from .fitting import (
     pair_observations,
     planar_terms,
 )
-from .grids import (
-    DepthGrid,
-    LabelGrid,
-    SparseSamples,
-    canonicalize_labels,
-    grid_to_samples,
-    samples_to_grid,
-)
+from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 from .metrics import MetricReport, evaluate
 from .normalize import NormalizationStats, affine_invariant_normalize, invert_depth, lower_median
 from .pipeline import NYU_CLAMP, VOID_CLAMP, PipelineConfig, RegionReport, RegionReports, rescale
@@ -82,7 +75,6 @@ __all__ = [
     "fit_median_ratio",
     "fit_planar",
     "generate_scene",
-    "grid_to_samples",
     "invert_depth",
     "lower_median",
     "pair_observations",
@@ -91,6 +83,5 @@ __all__ = [
     "rescale",
     "sample_beams",
     "sample_uniform",
-    "samples_to_grid",
     "split_into_components",
 ]

@@ -3,8 +3,8 @@
 Two families matter for callers: InputError covers malformed files,
 shapes, coordinates, and arguments (CLI exit code 2), DegeneracyError
 covers fits or normalizations that cannot produce usable numbers
-(CLI exit code 3 once every fallback is exhausted). The two value
-checks behind most InputErrors are shared here; neither takes a bool.
+(CLI exit code 3 once every fallback is exhausted). The value checks
+behind most InputErrors are shared here; none takes a bool.
 """
 
 import math
@@ -20,6 +20,15 @@ def is_finite_real(value, low: float = -math.inf, *, above: bool = False) -> boo
     """True for a finite real number, not a bool, >= low (> low if `above`)."""
     real = type(value) is not bool and isinstance(value, Real) and -math.inf < value < math.inf
     return real and (value > low if above else value >= low)
+
+
+def is_depth_range(value) -> bool:
+    """True for a pair of finite real numbers, not bools, with 0 < min <= max."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        return False
+    return is_finite_real(lo, 0, above=True) and is_finite_real(hi, lo)
 
 
 class DepthScaleError(Exception):

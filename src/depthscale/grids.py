@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateSample, InputError, OutOfBounds
+from .errors import DuplicateSample, InputError
 
 
 class _Handed:
@@ -272,20 +272,3 @@ def canonicalize_labels(mask: LabelGrid) -> LabelGrid:
     first = np.full(inverse.max() + 1, starts.size)
     np.minimum.at(first, inverse, np.arange(starts.size))
     return paint_runs(first[inverse], starts, mask.shape)
-
-
-def samples_to_grid(samples: SparseSamples, height: int, width: int) -> DepthGrid:
-    """Scatter sparse samples into a grid, valid exactly at sample pixels."""
-    if len(samples) and (samples.rows.max() >= height or samples.cols.max() >= width):
-        raise OutOfBounds(f"sample coordinates exceed grid shape ({height}, {width})")
-    values = np.zeros((height, width), dtype=np.float64)
-    valid = np.zeros((height, width), dtype=bool)
-    values[samples.rows, samples.cols] = samples.depths
-    valid[samples.rows, samples.cols] = True
-    return DepthGrid.adopt(values, valid)
-
-
-def grid_to_samples(grid: DepthGrid) -> SparseSamples:
-    """Gather valid pixels into sparse samples, row-major order."""
-    rows, cols = np.nonzero(grid.valid)
-    return SparseSamples(rows, cols, grid.values[rows, cols])

@@ -3,12 +3,14 @@
 Standard monocular-depth error set: mean absolute relative error, RMSE,
 RMSE in natural-log space, mean absolute log10 error, and the three
 threshold accuracies delta < 1.25^i. Pixels count when both grids are
-valid and the ground-truth depth lies inside the evaluation range;
-predictions are clamped to the range minimum before logarithms (rather
-than excluded) so pixel counts stay comparable across methods. Callers
-should clamp predictions themselves if negative values are possible;
-the rescaling pipeline always does.
-"""
+valid and the ground-truth depth lies inside the evaluation range, which
+must be two finite numbers with 0 < min <= max (InputError otherwise).
+Predictions are clamped to the range minimum before logarithms (rather
+than excluded) so pixel counts stay comparable across methods. A
+prediction <= 0 is never inside a delta threshold: its ratio to the
+ground truth counts as infinite, with no floating-point warning.
+Callers should clamp predictions themselves if negative values are
+possible; the rescaling pipeline always does."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoOverlap
+from .errors import DimensionMismatch, InputError, NoOverlap, is_depth_range
 from .grids import DepthGrid
 
 # Pixels per block of evaluate's elementwise terms: their temporaries stay in cache.
@@ -54,9 +56,14 @@ def evaluate(
     """Compute the metric set over pixels valid in both grids.
 
     Range gating applies to ground truth only: gt must lie in
-    [depth_range[0], depth_range[1]]. Raises NoOverlap when no pixel
-    qualifies.
+    [depth_range[0], depth_range[1]]. Raises InputError for a range that
+    is not two finite numbers with 0 < min <= max, and NoOverlap when no
+    pixel qualifies.
     """
+    if not is_depth_range(depth_range):
+        raise InputError(
+            f"evaluation range must be two finite numbers with 0 < min <= max, got {depth_range}"
+        )
     if pred.shape != gt.shape:
         raise DimensionMismatch(f"prediction shape {pred.shape} != ground truth shape {gt.shape}")
     lo, hi = depth_range
@@ -90,7 +97,9 @@ def evaluate(
         diff = p - g
         np.divide(np.abs(diff), g, out=first[span])
         np.square(diff, out=second[span])
-        ratio = np.maximum(p / g, g / p)
+        # g / p where p > 0; an infinite ratio, a miss, where p <= 0
+        ratio = np.divide(g, p, out=np.full(p.shape, np.inf), where=p > 0)
+        np.maximum(ratio, p / g, out=ratio)
         for i in range(3):
             hits[i] += int(np.count_nonzero(ratio < 1.25 ** (i + 1)))
     abs_rel = float(np.mean(first))

@@ -6,11 +6,16 @@ recenters and rescales the relative map to zero median and unit mean
 absolute deviation, so downstream fits always start from a canonical
 scale regardless of the model's arbitrary output range.
 
+A map whose translation or scale is not a finite 64-bit number (its
+values so large that their sums overflow) is refused with DegenerateGrid,
+as a map with zero spread is, and without floating-point warnings.
+
 Both functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +27,8 @@ MEDIAN_MAD = "median-mad"
 MEAN_STD = "mean-std"
 NORMALIZATION_MODES = (MEDIAN_MAD, MEAN_STD)
 
-DEFAULT_INVERT_EPSILON = 1e-6
+# Disparities are floored here before inversion.
+INVERT_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -46,15 +52,13 @@ def lower_median(values: np.ndarray) -> float:
     return float(np.partition(flat, k)[k])
 
 
-def invert_depth(grid: DepthGrid, epsilon: float = DEFAULT_INVERT_EPSILON) -> DepthGrid:
-    """Per-pixel reciprocal 1 / max(d, epsilon) at valid pixels.
+def invert_depth(grid: DepthGrid) -> DepthGrid:
+    """Per-pixel reciprocal 1 / max(d, INVERT_EPSILON) at valid pixels.
 
     The clamp absorbs zero disparity (sky-like pixels) instead of
     producing infinities; validity is preserved unchanged.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    out = np.maximum(grid.values, epsilon)
+    out = np.maximum(grid.values, INVERT_EPSILON)
     np.divide(1.0, out, out=out)
     return DepthGrid.adopt(out, grid.valid)
 
@@ -70,21 +74,26 @@ def affine_invariant_normalize(
     deviation instead. The mask is unchanged.
 
     Raises DegenerateGrid for constant maps or fewer than 2 valid
-    pixels, where the scale would be zero.
+    pixels, where the scale would be zero, and for maps whose translation
+    or scale overflows to a non-finite number.
     """
     if mode not in NORMALIZATION_MODES:
         raise InputError(f"unknown normalization mode {mode!r}")
     v = grid.valid_values()
     if v.size < 2:
         raise DegenerateGrid(f"normalization needs at least 2 valid pixels, got {v.size}")
-    if mode == MEDIAN_MAD:
-        t = lower_median(v)
-        np.subtract(v, t, out=v)  # `v` is a copy; the deviations replace it
-        s = float(np.mean(np.abs(v, out=v)))
-    else:
-        t = float(np.mean(v))
-        s = float(np.std(v))
+    # Sums of huge values overflow; the finite check below refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == MEDIAN_MAD:
+            t = lower_median(v)
+            np.subtract(v, t, out=v)  # `v` is a copy; the deviations replace it
+            s = float(np.mean(np.abs(v, out=v)))
+        else:
+            t = float(np.mean(v))
+            s = float(np.std(v))
     del v
+    if not (math.isfinite(t) and math.isfinite(s)):
+        raise DegenerateGrid(f"translation {t} or scale {s} overflows 64-bit floats")
     if s <= 0.0:
         raise DegenerateGrid("constant depth map has zero spread")
     out = np.subtract(grid.values, t)

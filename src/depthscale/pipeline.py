@@ -44,6 +44,7 @@ from .errors import (
     InputError,
     InsufficientSamples,
     NoSamples,
+    is_depth_range,
     is_finite_real,
     is_int_at_least,
 )
@@ -143,10 +144,8 @@ class PipelineConfig:
             raise InputError(f"merge_same_label must be true or false, got {self.merge_same_label!r}")
         if self.normalization not in NORMALIZATION_MODES:
             raise InputError(f"unknown normalization {self.normalization!r}")
-        clamp = self.clamp
-        numbers = all(is_finite_real(v, 0, above=True) for v in clamp)
-        if not (len(clamp) == 2 and numbers and clamp[0] <= clamp[1]):
-            raise InputError(f"clamp must be two finite numbers with 0 < min <= max, got {clamp}")
+        if not is_depth_range(self.clamp):
+            raise InputError(f"clamp must be two finite numbers with 0 < min <= max, got {self.clamp}")
         for entry in self.fallback_chain:
             if entry not in METHODS:
                 raise InputError(f"unknown fallback_chain entry {entry!r}; choose from {METHODS}")

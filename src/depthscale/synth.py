@@ -10,6 +10,11 @@ Surfaces are planes in the normalized [-1, 1] image coordinates, with
 optional quadratic terms that bend them; bent surfaces make the
 relative map nonlinear in (x, y), which is what separates a surface
 fit from a plain scale-and-shift fit under slope-bearing distortions.
+Each pixel's (x, y) is `fitting.normalized_coords` of its row and
+column, the same numbers the fitter pairs with a sample there, so a
+scene's ground truth is its surface evaluated exactly where a fit
+reads it. A scene is built region by region on the pixels one stable
+sort of the labels lists, so its cost grows with pixels plus regions.
 
 All randomness is derived from a single seed, split deterministically
 per purpose, so identical specs yield identical scenes and samples.
@@ -26,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, InvalidSpec, TooManyRequested, is_finite_real, is_int_at_least
+from .fitting import normalized_coords
 from .grids import DepthGrid, LabelGrid, SparseSamples
 from .regions import split_into_components
 
@@ -206,14 +212,6 @@ def _voronoi_labels(site_r: np.ndarray, site_c: np.ndarray, h: int, w: int) -> n
     return labels
 
 
-def _coordinate_grids(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.linspace(-1.0, 1.0, width) if width > 1 else np.zeros(1)
-    y = np.linspace(-1.0, 1.0, height) if height > 1 else np.zeros(1)
-    return np.broadcast_to(x[None, :], (height, width)), np.broadcast_to(
-        y[:, None], (height, width)
-    )
-
-
 def generate_scene(spec: SceneSpec) -> tuple[DepthGrid, DepthGrid, LabelGrid]:
     """Materialize (ground truth, relative map, region mask) from a spec.
 
@@ -221,24 +219,28 @@ def generate_scene(spec: SceneSpec) -> tuple[DepthGrid, DepthGrid, LabelGrid]:
     surface leaves the declared depth range.
     """
     labels = _layout_labels(spec)
-    x, y = _coordinate_grids(spec.height, spec.width)
-    gt = np.zeros((spec.height, spec.width), dtype=np.float64)
-    rel = np.zeros((spec.height, spec.width), dtype=np.float64)
+    h, w = spec.height, spec.width
+    # One stable sort lists each region's pixels, row-major, as one slice.
+    order = np.argsort(labels, axis=None, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(labels.ravel(), minlength=spec.n_regions))]
+    x, y = normalized_coords(*np.divmod(order, w), h, w)
+    gt, rel = np.zeros((2, h * w))
     lo, hi = spec.depth_range
     tol = 1e-9 * max(1.0, hi)
     for i, region in enumerate(spec.regions):
-        sel = labels == i
-        if not sel.any():
+        part = slice(bounds[i], bounds[i + 1])
+        if part.start == part.stop:
             continue
-        depths = region.plane.depth(x[sel], y[sel])
+        depths = region.plane.depth(x[part], y[part])
         if depths.min() < lo - tol or depths.max() > hi + tol:
             raise InvalidSpec(
                 f"region {i} surface leaves depth range [{lo}, {hi}]: "
                 f"[{depths.min():.4f}, {depths.max():.4f}]"
             )
-        gt[sel] = depths
-        rel[sel] = region.distortion.inverse(depths, x[sel], y[sel])
-    return DepthGrid(gt), DepthGrid(rel), LabelGrid(labels)
+        gt[order[part]] = depths
+        rel[order[part]] = region.distortion.inverse(depths, x[part], y[part])
+    gt, rel = (DepthGrid.adopt(values.reshape(h, w)) for values in (gt, rel))
+    return gt, rel, LabelGrid.adopt(labels)
 
 
 def sample_uniform(

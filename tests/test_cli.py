@@ -746,3 +746,46 @@ def test_samples_all_on_invalid_pixels_exit_2(tmp_path, capsys, method):
     assert capsys.readouterr().err == (
         "error: no usable sample: all 2 lie on invalid depth pixels\n"
     )
+
+
+@pytest.mark.parametrize("clamp", ["0,10", "5,1", "-1,10", "1,inf"])
+def test_evaluate_range_outside_positive_finite_exits_2(tmp_path, capsys, clamp):
+    # a valid prediction at -1 m would put inf into rmse_log and log10
+    io.save_depth(DepthGrid([[-1.0, 2.0], [3.0, 4.0]]), tmp_path / "pred.dpg")
+    io.save_depth(DepthGrid([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "gt.dpg")
+    code = main(["evaluate", "--pred", str(tmp_path / "pred.dpg"), "--gt", str(tmp_path / "gt.dpg"),
+                 f"--clamp={clamp}"])
+    assert code == 2
+    lo, hi = (float(part) for part in clamp.split(","))
+    assert capsys.readouterr().err == (
+        f"error: evaluation range must be two finite numbers with 0 < min <= max, got {(lo, hi)}\n"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["slf", "ssf"])
+@pytest.mark.parametrize("normalization", ["median-mad", "mean-std"])
+def test_rescale_of_a_map_whose_normalization_overflows_exits_3(
+    tmp_path, capsys, method, normalization
+):
+    from depthscale.grids import LabelGrid
+
+    values = np.random.default_rng(0).uniform(1e307, 1.7e308, (4, 4))
+    io.save_depth(DepthGrid(values), tmp_path / "rel.dpg")
+    io.save_depth(DepthGrid(np.full((4, 4), 2.0)), tmp_path / "gt.dpg")
+    io.save_mask(LabelGrid(np.zeros((4, 4), dtype=np.int32)), tmp_path / "mask.pgm")
+    code = main(
+        [
+            "rescale",
+            "--depth", str(tmp_path / "rel.dpg"),
+            "--mask", str(tmp_path / "mask.pgm"),
+            "--gt", str(tmp_path / "gt.dpg"),
+            "--n-samples", "8",
+            "--already-depth",
+            "--method", method,
+            "--normalization", normalization,
+            "--out", str(tmp_path / "out.dpg"),
+        ]
+    )
+    assert code == 3
+    assert "overflows" in capsys.readouterr().err

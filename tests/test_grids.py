@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthscale.errors import DuplicateSample, InputError, OutOfBounds
-from depthscale.grids import (
-    DepthGrid,
-    LabelGrid,
-    SparseSamples,
-    canonicalize_labels,
-    grid_to_samples,
-    samples_to_grid,
-)
+from depthscale.errors import DuplicateSample, InputError
+from depthscale.grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 
 
 def reference_canonicalize(labels: np.ndarray) -> np.ndarray:
@@ -149,24 +142,6 @@ def test_is_canonical_with_labels_beyond_pixel_count():
     assert not LabelGrid(np.full((4, 4), 65535)).is_canonical()
 
 
-def test_samples_to_grid_single_point():
-    s = SparseSamples.from_points([(0, 0, 2.0)])
-    g = samples_to_grid(s, 2, 2)
-    assert g.values[0, 0] == 2.0
-    assert g.n_valid == 1
-
-
-def test_samples_to_grid_empty():
-    g = samples_to_grid(SparseSamples.from_points([]), 3, 3)
-    assert g.n_valid == 0
-
-
-def test_samples_to_grid_out_of_bounds():
-    s = SparseSamples.from_points([(2, 0, 1.0)])
-    with pytest.raises(OutOfBounds):
-        samples_to_grid(s, 2, 2)
-
-
 def test_duplicate_coordinate_rejected():
     with pytest.raises(DuplicateSample):
         SparseSamples.from_points([(0, 0, 1.0), (0, 0, 2.0)])
@@ -217,19 +192,3 @@ def test_integer_cast_that_keeps_every_value_is_accepted():
     assert LabelGrid([[0.0, 3.0]]).labels.tolist() == [[0, 3]]
     assert LabelGrid(np.array([[0, 2**31 - 1]], dtype=np.uint64)).labels.dtype == np.int32
     assert SparseSamples([1.0], np.array([2], dtype=np.int32), [1.0]).points == [(1, 2, 1.0)]
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 7), st.integers(0, 7), st.floats(0.01, 100.0, allow_nan=False)
-        ),
-        max_size=20,
-        unique_by=lambda p: (p[0], p[1]),
-    )
-)
-def test_round_trip_samples_grid(points):
-    s = SparseSamples.from_points(points)
-    back = grid_to_samples(samples_to_grid(s, 8, 8))
-    assert sorted(back.points) == sorted(s.points)

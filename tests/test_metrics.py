@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthscale import io, metrics
-from depthscale.errors import NoOverlap
+from depthscale.errors import InputError, NoOverlap
 from depthscale.grids import DepthGrid
 from depthscale.metrics import MetricReport, evaluate
 
@@ -39,7 +40,7 @@ def naive_evaluate(pred, gt, depth_range):
             p_log = max(p, lo)
             sq_log.append((math.log(p_log) - math.log(g)) ** 2)
             l10.append(abs(math.log10(p_log) - math.log10(g)))
-            ratio = max(p / g, g / p)
+            ratio = max(p / g, g / p) if p > 0 else math.inf
             for i in range(3):
                 hits[i] += ratio < 1.25 ** (i + 1)
     if count == 0:
@@ -96,6 +97,26 @@ def test_prediction_clamped_before_logs():
     assert report.log10 == pytest.approx(3.0, rel=1e-12)  # log10(1 / 0.001)
 
 
+def test_non_positive_predictions_miss_every_threshold():
+    gt = grid([[1.0, 2.0], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for worst in (-100.0, -0.0, 0.0):
+            report = evaluate(grid([[worst, 2.0], [3.0, 4.5]]), gt, RANGE)
+            assert (report.delta1, report.delta2, report.delta3) == (0.75, 0.75, 0.75)
+
+
+@pytest.mark.parametrize(
+    "depth_range",
+    [(0.0, 10.0), (-1.0, 10.0), (5.0, 1.0), (1.0, math.inf), (math.nan, 1.0), (True, 2.0),
+     (1.0,), (1.0, 2.0, 3.0), None],
+)
+def test_evaluation_range_must_be_finite_positive_and_ordered(depth_range):
+    g = grid([[1.0, 2.0]])
+    with pytest.raises(InputError, match=re.escape(f"got {depth_range}")):
+        evaluate(g, g, depth_range)
+
+
 def test_delta_one_for_scales_inside_first_threshold():
     gt = grid(np.linspace(0.5, 8.0, 24).reshape(4, 6))
     for c in (0.81, 1.0, 1.24):
@@ -143,7 +164,9 @@ def reference_evaluate(pred, gt, depth_range):
     p_log = np.maximum(p, lo)
     rmse_log = float(np.sqrt(np.mean((np.log(p_log) - np.log(g)) ** 2)))
     log10 = float(np.mean(np.abs(np.log10(p_log) - np.log10(g))))
-    ratio = np.maximum(p / g, g / p)
+    ratio = np.full(p.shape, np.inf)  # a prediction <= 0 is a miss
+    pos = p > 0
+    ratio[pos] = np.maximum(p[pos] / g[pos], g[pos] / p[pos])
     delta1 = float(np.mean(ratio < 1.25))
     delta2 = float(np.mean(ratio < 1.25**2))
     delta3 = float(np.mean(ratio < 1.25**3))
@@ -179,7 +202,7 @@ def prediction_pairs(draw):
 def test_blocked_evaluate_matches_reference_bit_for_bit(case, block):
     pred, gt, depth_range = case
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # g / p at p == 0, in both
+        warnings.simplefilter("error", RuntimeWarning)  # not even at p <= 0
         try:
             want = reference_evaluate(pred, gt, depth_range)
         except NoOverlap:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,7 +78,7 @@ def test_invert_reciprocal():
 
 
 def test_invert_clamps_zero():
-    out = invert_depth(grid([0.0]), epsilon=1e-6)
+    out = invert_depth(grid([0.0]))
     assert out.values[0, 0] == 1e6
 
 
@@ -108,6 +110,16 @@ def test_normalize_constant_grid_degenerate():
 def test_normalize_needs_two_valid_pixels():
     with pytest.raises(DegenerateGrid):
         affine_invariant_normalize(grid([1.0, 2.0], valid=np.array([[True, False]])))
+
+
+@pytest.mark.parametrize("mode", [MEDIAN_MAD, MEAN_STD])
+def test_normalize_refuses_stats_that_overflow(mode):
+    # finite values whose deviations or sums overflow 64-bit floats
+    values = np.random.default_rng(0).uniform(1e307, 1.7e308, (4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGrid, match="overflows"):
+            affine_invariant_normalize(grid(values), mode)
 
 
 def test_normalize_ignores_invalid_pixels():

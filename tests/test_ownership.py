@@ -11,13 +11,7 @@ import pytest
 from depthscale import io
 from depthscale.errors import InputError
 from depthscale.fitting import FitParams, apply_fit, planar_terms
-from depthscale.grids import (
-    DepthGrid,
-    LabelGrid,
-    SparseSamples,
-    canonicalize_labels,
-    samples_to_grid,
-)
+from depthscale.grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 from depthscale.normalize import affine_invariant_normalize, invert_depth
 from depthscale.pipeline import PipelineConfig, rescale
 from depthscale.regions import split_into_components
@@ -56,7 +50,6 @@ def library_grids(tmp_path):
         ("affine_invariant_normalize", rel.values, normalized),
         ("apply_fit", rel.values, apply_fit(rel, mask, planar_terms(params), (0.001, 10.0))),
         ("rescale", rel.values, metric),
-        ("samples_to_grid", samples.depths, samples_to_grid(samples, 3, 4)),
         ("load_depth pfm", None, io.load_depth(tmp_path / "rel.pfm")),
         ("load_depth dpg", None, io.load_depth(tmp_path / "rel.dpg")),
         ("split_into_components", mask.labels, split_into_components(mask)),

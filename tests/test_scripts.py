@@ -76,10 +76,7 @@ def test_bench_pairs_smoke(tmp_path):
 
 
 def test_peak_by_stage_smoke(tmp_path):
-    done = run_script(
-        "peak_by_stage.py", "--height", "48", "--width", "64", "--regions", "4", "--beams", "8",
-        cwd=tmp_path,
-    )
+    done = run_script("peak_by_stage.py", "--smoke", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines() if not line.startswith(("#", "stage"))]
     stages = [row[0] for row in rows]

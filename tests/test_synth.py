@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from depthscale.errors import InputError, InvalidSpec, TooManyRequested
+from depthscale.fitting import normalized_coords
 from depthscale.grids import DepthGrid
 from depthscale.metrics import evaluate
 from depthscale.pipeline import PipelineConfig, rescale
@@ -110,8 +112,7 @@ def test_inverse_distortion_consistency(seed, family):
         min_region_pixels=5,
     )
     gt, rel, mask = generate_scene(spec)
-    x = np.broadcast_to(np.linspace(-1, 1, 32)[None, :], (24, 32))
-    y = np.broadcast_to(np.linspace(-1, 1, 24)[:, None], (24, 32))
+    x, y = np.broadcast_arrays(*normalized_coords(*np.ogrid[:24, :32], 24, 32))
     recovered = np.zeros_like(gt.values)
     for i, region in enumerate(spec.regions):
         sel = mask.labels == i
@@ -152,6 +153,69 @@ def test_planar_distortion_needs_surface_fit():
     slf, _ = rescale(rel, mask, samples, PipelineConfig(method="slf"))
     assert evaluate(ssf, gt).abs_rel < 1e-9
     assert evaluate(slf, gt).abs_rel > 1e-4
+
+
+def test_bent_scene_ground_truth_is_the_surface_at_the_fitters_coordinates():
+    plane = Plane(0.3, -0.2, 5.0, 0.1, 0.05)
+    spec = SceneSpec(
+        height=480,
+        width=640,
+        layout="grid",
+        regions=(RegionSpec(plane, Distortion("planar", a=1.5, bx=0.4, by=-0.3, c=-2.0)),),
+        seed=0,
+        depth_range=(1.0, 9.0),
+        grid_rows=1,
+        grid_cols=1,
+    )
+    gt, rel, _ = generate_scene(spec)
+    x, y = normalized_coords(*np.ogrid[:480, :640], 480, 640)
+    depths = plane.depth(x, y)
+    assert gt.values.tobytes() == depths.tobytes()
+    assert rel.values.tobytes() == spec.regions[0].distortion.inverse(depths, x, y).tobytes()
+
+
+def reference_generate_scene(spec):
+    """generate_scene as one full-frame label mask per region, on normalized_coords."""
+    labels = _layout_labels(spec)
+    h, w = labels.shape
+    x, y = np.broadcast_arrays(*normalized_coords(*np.ogrid[:h, :w], h, w))
+    gt = np.zeros((h, w))
+    rel = np.zeros((h, w))
+    for i, region in enumerate(spec.regions):
+        sel = labels == i
+        depths = region.plane.depth(x[sel], y[sel])
+        gt[sel] = depths
+        rel[sel] = region.distortion.inverse(depths, x[sel], y[sel])
+    return gt, rel, labels
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("family", ["affine", "planar", "nonlinear"])
+@pytest.mark.parametrize("layout", ["grid", "voronoi"])
+def test_generate_scene_matches_per_region_mask_loop(layout, family, curved):
+    sizes = [(37, 53), (61, 47), (96, 128)] + [(1, 9), (8, 1)] * (layout == "grid")
+    for seed, (h, w) in itertools.product(range(2), sizes):
+        spec = random_scene(
+            seed, height=h, width=w, region_range=(2, 30) if h * w > 2000 else (1, 4),
+            layout=layout, distortion=family,
+            curvature_range=(0.1, 0.6) if curved else None, min_region_pixels=1,
+        )
+        got = generate_scene(spec)
+        want = reference_generate_scene(spec)
+        for made, expected in zip((got[0].values, got[1].values, got[2].labels), want):
+            assert made.tobytes() == expected.tobytes(), (seed, h, w)
+
+
+def test_grid_cells_without_pixels_stay_empty():
+    # three row bands over two rows: the third band's regions own no pixel
+    distortion = Distortion("affine", a=2.0)
+    regions = tuple(RegionSpec(Plane(0.1 * i, 0.2, 3.0), distortion) for i in range(6))
+    spec = SceneSpec(height=2, width=5, layout="grid", regions=regions, seed=0,
+                     depth_range=(1.0, 9.0), grid_rows=3, grid_cols=2)
+    gt, rel, mask = generate_scene(spec)
+    assert sorted(np.unique(mask.labels)) == [0, 1, 2, 3]
+    want = reference_generate_scene(spec)
+    assert (gt.values.tobytes(), rel.values.tobytes()) == (want[0].tobytes(), want[1].tobytes())
 
 
 # ---------------------------------------------------------------- sampling
