@@ -46,9 +46,8 @@ STAGES = {
     "io.load_samples": ("depthscale.io", "load_samples"),
     "invert_depth": ("depthscale.cli", "invert_depth"),
     "affine_invariant_normalize": ("depthscale.pipeline", "affine_invariant_normalize"),
-    "split_into_components": ("depthscale.pipeline", "split_into_components"),
     "pair_observations": ("depthscale.pipeline", "pair_observations"),
-    "build_region_graph": ("depthscale.pipeline", "build_region_graph"),
+    "split_regions": ("depthscale.pipeline", "split_regions"),
     "fit_regions": ("depthscale.pipeline", "fit_regions"),
     "apply_fit": ("depthscale.pipeline", "apply_fit"),
     "io.save_depth": ("depthscale.io", "save_depth"),

@@ -102,10 +102,9 @@ class PairedObservations:
 
     def __post_init__(self):
         n = self.rows.size
-        for name in ("cols", "z1", "z2", "x", "y"):
-            if getattr(self, name).size != n:
-                raise InputError("paired observation arrays must have equal length")
-        if n and self.z1.min() <= 0:
+        if any(array.size != n for array in (self.cols, self.z1, self.z2, self.x, self.y)):
+            raise InputError("paired observation arrays must have equal length")
+        if n and np.minimum.reduce(self.z1) <= 0:
             raise InputError("measured metric depths must be strictly positive")
 
     def __len__(self) -> int:
@@ -192,40 +191,47 @@ def _fit_stack(
 
     `rows` is a (k, n) integer array. Returns each row's FitParams, or
     the DegeneracyError saying why its fit is refused. Every row is
-    solved, into one (k, 4) array of alpha, beta, gamma and delta, with
-    floating-point warnings off: a row is fitted only where its design
-    is accepted and its parameters are all finite, so a rejected
-    design's division by zero, or a solve that overflows or divides by
-    an underflowed zero, never reaches a FitParams.
+    solved, into one (k, 4) array of alpha, beta, gamma and delta; the
+    caller turns floating-point warnings off: a row is fitted only where
+    its design is accepted and its parameters are all finite, so a
+    rejected design's division by zero, or a solve that overflows or
+    divides by an underflowed zero, never reaches a FitParams. The
+    reductions are the ufuncs' own, which `sum`, `max` and `min` call.
     """
     z1, z2 = obs.z1[rows], obs.z2[rows]
     k, n = z1.shape
     coeffs = np.zeros((k, 4))  # alpha, beta, gamma, delta of each row
-    with np.errstate(all="ignore"):
-        if kind == KIND_AFFINE:
-            s = np.linalg.svd(np.stack([z2, np.ones_like(z2)], axis=2), compute_uv=False)
-            condition = s[:, 0] / s[:, -1]
-            high, low = z2.max(axis=1), z2.min(axis=1)
-            # a constant z2 leaves scale and shift unidentifiable
-            accepted = high - low > _RELATIVE_SPREAD_TOL * np.maximum(high, -low)
-            z2_bar, z1_bar = z2.sum(axis=1) / n, z1.sum(axis=1) / n
-            dz = z2 - z2_bar[:, None]
-            alpha = _row_dots(dz, z1 - z1_bar[:, None]) / _row_dots(dz, dz)
-            coeffs[:, 0], coeffs[:, 1] = alpha, z1_bar - alpha * z2_bar
-        elif kind == KIND_PLANAR:
-            design = np.stack([z2, obs.x[rows], obs.y[rows], np.ones_like(z2)], axis=2)
-            u, s, vt = np.linalg.svd(design, full_matrices=False)
-            condition = s[:, 0] / s[:, -1]
-            accepted = condition <= cond_max
-            scaled = (np.swapaxes(u, 1, 2) @ z1[:, :, None])[:, :, 0] / s
-            coeffs = (np.swapaxes(vt, 1, 2) @ scaled[:, :, None])[:, :, 0]
-        else:
-            mid = (n - 1) // 2
-            m2 = np.partition(z2, mid, axis=1)[:, mid]
-            accepted = m2 != 0.0
-            coeffs[:, 0] = np.partition(z1, mid, axis=1)[:, mid] / m2
-            condition = np.ones(k)
-    fitted = accepted & np.isfinite(coeffs).all(axis=1)
+    if kind == KIND_AFFINE:
+        design = np.empty((k, n, 2))
+        design[:, :, 0], design[:, :, 1] = z2, 1.0
+        s = np.linalg.svd(design, compute_uv=False)
+        condition = s[:, 0] / s[:, -1]
+        high, low = np.maximum.reduce(z2, axis=1), np.minimum.reduce(z2, axis=1)
+        # a constant z2 leaves scale and shift unidentifiable
+        accepted = high - low > _RELATIVE_SPREAD_TOL * np.maximum(high, -low)
+        z2_bar, z1_bar = np.add.reduce(z2, axis=1) / n, np.add.reduce(z1, axis=1) / n
+        dz = z2 - z2_bar[:, None]
+        alpha = _row_dots(dz, z1 - z1_bar[:, None]) / _row_dots(dz, dz)
+        coeffs[:, 0], coeffs[:, 1] = alpha, z1_bar - alpha * z2_bar
+    elif kind == KIND_PLANAR:
+        design = np.empty((k, n, 4))
+        design[:, :, 0], design[:, :, 1], design[:, :, 2] = z2, obs.x[rows], obs.y[rows]
+        design[:, :, 3] = 1.0
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        condition = s[:, 0] / s[:, -1]
+        accepted = condition <= cond_max
+        scaled = (u.transpose(0, 2, 1) @ z1[:, :, None])[:, :, 0] / s
+        coeffs = (vt.transpose(0, 2, 1) @ scaled[:, :, None])[:, :, 0]
+    else:
+        # z1 and z2 are this stack's own copies: partitioned in place
+        mid = (n - 1) // 2
+        z2.partition(mid, axis=1)
+        z1.partition(mid, axis=1)
+        m2 = z2[:, mid]
+        accepted = m2 != 0.0
+        coeffs[:, 0] = z1[:, mid] / m2
+        condition = np.ones(k)
+    fitted = accepted & np.logical_and.reduce(np.isfinite(coeffs), axis=1)
     outcomes = zip(coeffs.tolist(), condition.tolist(), fitted.tolist(), accepted.tolist())
     return [
         FitParams(kind, *terms, n, cond) if ok else _refusal(kind, n, cond, cond_max, design_ok)
@@ -250,13 +256,14 @@ def fit_batch(
     for i, group in enumerate(groups):
         by_size.setdefault(len(group), []).append(i)
     params: list = [None] * len(groups)
-    for n, at in by_size.items():
-        if n >= MIN_SUPPORT[kind]:
-            fits = _fit_stack(kind, obs, np.array([groups[i] for i in at]), cond_max)
-        else:
-            fits = [_refusal(kind, n, math.nan, cond_max, False) for _ in at]
-        for i, fit in zip(at, fits):
-            params[i] = fit
+    with np.errstate(all="ignore"):
+        for n, at in by_size.items():
+            if n >= MIN_SUPPORT[kind]:
+                fits = _fit_stack(kind, obs, np.array([groups[i] for i in at]), cond_max)
+            else:
+                fits = [_refusal(kind, n, math.nan, cond_max, False) for _ in at]
+            for i, fit in zip(at, fits):
+                params[i] = fit
     return params
 
 
@@ -299,16 +306,14 @@ def planar_terms(fits: Sequence[FitParams]) -> np.ndarray:
     """The (len(fits), 4) table of each fit's (alpha, x-slope, y-slope, offset)
     in the planar form: an affine fit is (alpha, 0, 0, beta), a median-ratio
     fit (alpha, 0, 0, 0)."""
-    rows = []
     for p in fits:
-        if p.kind == KIND_PLANAR:
-            rows.append((p.alpha, p.beta, p.gamma, p.delta))
-        elif p.kind == KIND_AFFINE:
-            rows.append((p.alpha, 0.0, 0.0, p.beta))
-        elif p.kind == KIND_MEDIAN:
-            rows.append((p.alpha, 0.0, 0.0, 0.0))
-        else:
+        if p.kind not in FIT_KINDS:
             raise InputError(f"unknown fit kind {p.kind!r}")
+    rows = [
+        (p.alpha, p.beta, p.gamma, p.delta) if p.kind == KIND_PLANAR
+        else (p.alpha, 0.0, 0.0, p.beta if p.kind == KIND_AFFINE else 0.0)
+        for p in fits
+    ]
     return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
@@ -334,29 +339,32 @@ def apply_fit(
     terms = np.asarray(terms, dtype=np.float64)
     if terms.ndim != 2 or terms.shape[1] != 4:
         raise InputError(f"planar terms must be an (n, 4) table, got shape {terms.shape}")
-    if mask.labels.max() >= len(terms):
-        raise InputError(f"label {mask.labels.max()} has no planar terms ({len(terms)} given)")
+    top = np.maximum.reduce(mask.labels, axis=None)
+    if top >= len(terms):
+        raise InputError(f"label {top} has no planar terms ({len(terms)} given)")
     alpha, beta, gamma, delta = terms.T
-    x, y = normalized_coords(*np.ogrid[: d_rel.height, : d_rel.width], *d_rel.shape)
+    height, width = d_rel.shape
+    x, y = normalized_coords(np.arange(height)[:, None], np.arange(width), height, width)
     out = np.empty(d_rel.shape)
     # One block of rows at a time, with its labels cast to intp once for
     # the four takes (an int32 index would be cast on every take). The
     # labels were checked above, so mode="clip" never clips; unlike the
     # default mode it writes `out` without an intermediate buffer.
-    step = max(1, _APPLY_BLOCK // d_rel.width)
-    term = np.empty((min(step, d_rel.height), d_rel.width))
-    for r0 in range(0, d_rel.height, step):
+    # np.clip's own loop is a maximum, then a minimum, NaN passing through.
+    step = max(1, _APPLY_BLOCK // width)
+    term = np.empty((min(step, height), width))
+    for r0 in range(0, height, step):
         rows = slice(r0, r0 + step)
         labels = mask.labels[rows].astype(np.intp)
         o = out[rows]
         t = term[: len(o)]
-        np.take(alpha, labels, out=o, mode="clip")
+        alpha.take(labels, out=o, mode="clip")
         o *= d_rel.values[rows]
         for coeff, coord in ((beta, x), (gamma, y[rows])):
-            np.take(coeff, labels, out=t, mode="clip")
+            coeff.take(labels, out=t, mode="clip")
             t *= coord
             o += t
-        np.take(delta, labels, out=t, mode="clip")
+        delta.take(labels, out=t, mode="clip")
         o += t
-        np.clip(o, lo, hi, out=o)
+        np.minimum(np.maximum(o, lo, out=o), hi, out=o)
     return DepthGrid.adopt(out, d_rel.valid)

@@ -228,7 +228,7 @@ def run_starts(labels: np.ndarray) -> np.ndarray:
     start[0] = True
     np.not_equal(flat[1:], flat[:-1], out=start[1:])
     start[:: labels.shape[1]] = True
-    return np.flatnonzero(start)
+    return start.nonzero()[0]
 
 
 def is_label_range(labels: np.ndarray) -> bool:
@@ -252,8 +252,8 @@ def paint_runs(first_run: np.ndarray, starts: np.ndarray, shape: tuple[int, int]
     appearance. The labels are written in one int32 frame, which the grid
     adopts.
     """
-    rank = np.cumsum(first_run == np.arange(first_run.size), dtype=np.int32) - 1
-    out = np.repeat(rank[first_run], np.diff(starts, append=shape[0] * shape[1]))
+    rank = (first_run == np.arange(first_run.size)).cumsum(dtype=np.int32) - 1
+    out = rank[first_run].repeat(np.concatenate([starts[1:], [shape[0] * shape[1]]]) - starts)
     return LabelGrid.adopt(out.reshape(shape))
 
 

@@ -8,9 +8,11 @@ must be two finite numbers with 0 < min <= max (InputError otherwise).
 Predictions are clamped to the range minimum before logarithms (rather
 than excluded) so pixel counts stay comparable across methods. A
 prediction <= 0 is never inside a delta threshold: its ratio to the
-ground truth counts as infinite, with no floating-point warning.
-Callers should clamp predictions themselves if negative values are
-possible; the rescaling pipeline always does."""
+ground truth counts as infinite, with no floating-point warning. A term
+or a sum of terms that overflows makes its metric infinite, also with
+no warning, and an overflowed ratio is a delta miss too. Callers should
+clamp predictions themselves if negative values are possible; the
+rescaling pipeline always does."""
 
 from __future__ import annotations
 
@@ -93,23 +95,24 @@ def evaluate(
             done += p.size
 
     hits = [0, 0, 0]
-    for span, p, g in blocks():
-        diff = p - g
-        np.divide(np.abs(diff), g, out=first[span])
-        np.square(diff, out=second[span])
-        # g / p where p > 0; an infinite ratio, a miss, where p <= 0
-        ratio = np.divide(g, p, out=np.full(p.shape, np.inf), where=p > 0)
-        np.maximum(ratio, p / g, out=ratio)
-        for i in range(3):
-            hits[i] += int(np.count_nonzero(ratio < 1.25 ** (i + 1)))
-    abs_rel = float(np.mean(first))
-    rmse = float(np.sqrt(np.mean(second)))
-    for span, p, g in blocks():
-        p_log = np.maximum(p, lo)
-        np.square(np.log(p_log) - np.log(g), out=first[span])
-        np.abs(np.log10(p_log) - np.log10(g), out=second[span])
-    rmse_log = float(np.sqrt(np.mean(first)))
-    log10 = float(np.mean(second))
+    with np.errstate(over="ignore"):  # an overflow is an infinite term or mean
+        for span, p, g in blocks():
+            diff = p - g
+            np.divide(np.abs(diff), g, out=first[span])
+            np.square(diff, out=second[span])
+            # g / p where p > 0; an infinite ratio, a miss, where p <= 0
+            ratio = np.divide(g, p, out=np.full(p.shape, np.inf), where=p > 0)
+            np.maximum(ratio, p / g, out=ratio)
+            for i in range(3):
+                hits[i] += int(np.count_nonzero(ratio < 1.25 ** (i + 1)))
+        abs_rel = float(np.mean(first))
+        rmse = float(np.sqrt(np.mean(second)))
+        for span, p, g in blocks():
+            p_log = np.maximum(p, lo)
+            np.square(np.log(p_log) - np.log(g), out=first[span])
+            np.abs(np.log10(p_log) - np.log10(g), out=second[span])
+        rmse_log = float(np.sqrt(np.mean(first)))
+        log10 = float(np.mean(second))
     # exact integer counts: the same float as np.mean over the booleans
     delta1, delta2, delta3 = (h / count for h in hits)
     return MetricReport(

@@ -87,7 +87,7 @@ def affine_invariant_normalize(
         if mode == MEDIAN_MAD:
             t = lower_median(v)
             np.subtract(v, t, out=v)  # `v` is a copy; the deviations replace it
-            s = float(np.mean(np.abs(v, out=v)))
+            s = float(np.add.reduce(np.abs(v, out=v)) / v.size)  # np.mean's sum and division
         else:
             t = float(np.mean(v))
             s = float(np.std(v))

@@ -71,8 +71,9 @@ from .regions import (
     RegionGraph,
     SourceRings,
     build_region_graph,
-    expand_until,  # noqa: F401  (the benchmark's tracer wraps it under this name)
-    split_into_components,
+    expand_until,  # noqa: F401  (the benchmark's tracer wraps these two under these names)
+    split_into_components,  # noqa: F401
+    split_regions,
 )
 
 METHOD_SLF = "slf"
@@ -260,24 +261,36 @@ def _effective_chain(cfg: PipelineConfig) -> tuple[str, ...]:
     return (cfg.method,) + cfg.fallback_chain
 
 
+def _first_and_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(values, return_index=True, return_inverse=True)[1:]` of a 1-D
+    array: each distinct value's first index, ascending by value, and each
+    entry's position among the distinct values."""
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return order[first], inverse
+
+
 def _run_ids(values: np.ndarray, start: np.ndarray, stop: np.ndarray, n_values: int) -> np.ndarray:
     """One id per run values[start[i]:stop[i]] (non-empty), equal iff the runs are.
 
     Runs are numbered like the nodes of a trie, one offset at a time over
     the runs that long, so the work is proportional to their total length.
     """
-    length = stop - start
-    order = np.argsort(-length, kind="stable")
-    start, length = start[order], length[order]
+    shorter = start - stop  # minus each run's length
+    order = shorter.argsort(kind="stable")
+    start, shorter = start[order], shorter[order]
     ids = values[start].astype(np.int64)
     next_id = n_values
-    for offset in range(1, int(length[0]) if length.size else 0):
-        live = np.searchsorted(-length, -offset)  # runs longer than `offset`
-        distinct, inverse = np.unique(
-            ids[:live] * n_values + values[start[:live] + offset], return_inverse=True
-        )
+    for offset in range(1, -int(shorter[0]) if shorter.size else 0):
+        live = shorter.searchsorted(-offset)  # runs longer than `offset`
+        first, inverse = _first_and_inverse(ids[:live] * n_values + values[start[:live] + offset])
         ids[:live] = next_id + inverse
-        next_id += distinct.size
+        next_id += first.size
     out = np.empty_like(ids)
     out[order] = ids
     return out
@@ -304,8 +317,10 @@ def fit_regions(
     runs out raises the refusal `fit_batch` gave its last global entry,
     the only refusals kept.
     The hop rings (`SourceRings`) grow only as far as the regions still
-    without a fit need; a round in which they cannot grow for a region
-    still unsettled raises RuntimeError.
+    without a fit need, first for the regions too thin for the first chain
+    entry, so that most frames take one round. This may reorder the fits
+    returned, never the fit or hop of a region. A round in which they
+    cannot grow for a region still unsettled raises RuntimeError.
 
     Returns the accepted fits, in the order they were fitted, and two
     int arrays over the regions: `fit_of`, the position of each region's
@@ -322,6 +337,11 @@ def fit_regions(
     # the observations a fit kind sees where they are not `paired`: median-ratio
     # fits see the raw map, gathered when first needed
     seen: dict[str, PairedObservations] = {}
+    # the observations of each sample-holding region, as lists: a list join and
+    # one np.array per key cost less than np.concatenate on a few short arrays
+    spans = zip(graph.sample_bounds[rings.sources].tolist(), rings.counts[rings.sources].tolist())
+    order = graph.sample_order
+    group = {r: order[a : a + n].tolist() for r, (a, n) in zip(rings.sources.tolist(), spans)}
 
     def fits(kind: str, keys: list[tuple]) -> list[int]:
         """The memoized fit of each key; the lists not in the memo go to one `fit_batch`."""
@@ -330,7 +350,7 @@ def fit_regions(
             if kind == KIND_MEDIAN and kind not in seen:
                 seen[kind] = replace(paired, z2=raw.values[paired.rows, paired.cols])
             groups = [
-                np.concatenate([graph.group(r) for r in key]) if key else np.arange(len(paired))
+                np.array([i for r in key for i in group[r]]) if key else np.arange(len(paired))
                 for _, key in missing
             ]
             fitted = fit_batch(kind, seen.get(kind, paired), groups, cfg.cond_max)
@@ -346,16 +366,28 @@ def fit_regions(
 
     def attempt(kind: str, source, start, end) -> np.ndarray:
         """Fit source[start:end] of each region: its fit's position in `accepted`, or -1."""
-        distinct, inverse = np.unique(
-            _run_ids(source, start, end, graph.n_regions), return_index=True, return_inverse=True
-        )[1:]
-        keys = [(kind, tuple(source[start[i] : end[i]].tolist())) for i in distinct.tolist()]
+        distinct, inverse = _first_and_inverse(_run_ids(source, start, end, graph.n_regions))
+        keys = [
+            (kind, tuple(source[a:b].tolist()))
+            for a, b in zip(start[distinct].tolist(), end[distinct].tolist())
+        ]
         return np.array(fits(kind, keys), dtype=np.intp)[inverse]
+
+    def grow(regions: np.ndarray, need) -> None:
+        """Grow the rings until each region reaches `need` samples or all it can."""
+        need = np.minimum(need, rings.component_samples)
+        while np.count_nonzero(rings.reached[regions] < need) and rings.grow():
+            pass
 
     fit_of = np.full(graph.n_regions, -1, dtype=np.intp)
     # the hop of each placed fit, -1 for a global one
     placed = np.zeros(graph.n_regions, dtype=np.int32)
     pending = np.arange(graph.n_regions)
+    if chain[0] in _REGION_KIND:  # most regions hold fewer samples than a fit needs
+        first_need = cfg.minimum_for(_REGION_KIND[chain[0]])
+        short = (rings.counts < first_need).nonzero()[0]
+        if short.size:
+            grow(short, first_need)
     while True:
         # The sources within the radius of each region, as runs of
         # positions; a fit can be tried where a (region, hop) group ends.
@@ -363,14 +395,14 @@ def fit_regions(
         starts = np.ones(hop.size + 1, dtype=bool)
         np.not_equal(hop[1:], hop[:-1], out=starts[1:-1])
         starts[bounds] = True
-        ends = np.flatnonzero(starts[1:]) + 1
+        ends = starts[1:].nonzero()[0] + 1
         del starts
         # total[g]: the samples of every group before group g
         total = rings.counts[source]
-        np.cumsum(total, out=total)
+        total.cumsum(out=total)
         total = np.concatenate([[0], total[ends - 1]])
         lo = bounds[pending]
-        stop = np.searchsorted(ends, bounds[pending + 1], side="right")
+        stop = ends.searchsorted(bounds[pending + 1], side="right")
         todo = np.arange(pending.size)  # into pending
         unresolved = pending[:0]
         for position, entry in enumerate(chain):
@@ -386,9 +418,9 @@ def fit_regions(
                 continue
             kind = _REGION_KIND[entry]
             # each region's first hop end with enough samples for this entry
-            before = total[np.searchsorted(ends, lo[todo], side="right")]
-            at = np.searchsorted(total[1:], before + cfg.minimum_for(kind))
-            while (live := at < stop[todo]).any():
+            before = total[ends.searchsorted(lo[todo], side="right")]
+            at = total[1:].searchsorted(before + cfg.minimum_for(kind))
+            while np.count_nonzero(live := at < stop[todo]):
                 end = ends[at[live]]
                 fit = attempt(kind, source, lo[todo[live]], end)
                 fitted = fit >= 0
@@ -409,15 +441,12 @@ def fit_regions(
         # Grow the rings until each unresolved region has a new hop to try,
         # and enough samples for the first entry, or reaches all it can.
         pending = unresolved
-        need = np.maximum(rings.reached[pending] + 1, cfg.minimum_for(_REGION_KIND[chain[0]]))
-        need = np.minimum(need, rings.component_samples)
         radius = rings.radius
-        while (rings.reached[pending] < need).any() and rings.grow():
-            pass
+        grow(pending, np.maximum(rings.reached[pending] + 1, first_need))
         if rings.radius == radius:
             raise RuntimeError(f"hop rings stopped growing, {pending.size} unsettled region(s) left")
 
-    unfit = np.flatnonzero(fit_of < 0)
+    unfit = (fit_of < 0).nonzero()[0]
     if unfit.size:
         last = next((_GLOBAL_KIND[e] for e in reversed(chain) if e in _GLOBAL_KIND), None)
         if last is not None:  # tried by every unfit region, and refused
@@ -436,14 +465,14 @@ def _residual_rmse(out: DepthGrid, paired: PairedObservations, graph: RegionGrap
     gives, bit for bit. A square that overflows makes the RMSE infinite.
     """
     rmse = np.full(graph.n_regions, np.nan)
-    holding = np.flatnonzero(graph.sample_counts)
+    holding = graph.sample_counts.nonzero()[0]
     counts = graph.sample_counts[holding]
     with np.errstate(over="ignore"):
         squares = np.square(out.values[paired.rows, paired.cols] - paired.z1)
-        for n in np.unique(counts).tolist():
+        for n in set(counts.tolist()):
             regions = holding[counts == n]
             rows = graph.sample_order[graph.sample_bounds[regions, None] + np.arange(n)]
-            rmse[regions] = np.sqrt(squares[rows].sum(axis=1) / n)
+            rmse[regions] = np.sqrt(np.add.reduce(squares[rows], axis=1) / n)
     return rmse
 
 
@@ -473,16 +502,16 @@ def rescale(
     if cfg.method in _NORMALIZING_METHODS:
         working, stats = affine_invariant_normalize(d_in, cfg.normalization)
 
-    if cfg.merge_same_label:
-        region_mask = canonicalize_labels(mask)
-    else:
-        region_mask = split_into_components(mask, cfg.connectivity)
     # Samples on invalid pixels drop out here, so the graph's sample
     # groups index `paired` rows and a group's size is its observation count.
     paired = pair_observations(working, samples)
     if not len(paired):
         raise NoSamples(f"no usable sample: all {len(samples)} lie on invalid depth pixels")
-    graph = build_region_graph(region_mask, paired, cfg.connectivity)
+    if cfg.merge_same_label:
+        region_mask = canonicalize_labels(mask)
+        graph = build_region_graph(region_mask, paired, cfg.connectivity)
+    else:
+        region_mask, graph = split_regions(mask, paired, cfg.connectivity)
 
     fits, fit_of, hop = fit_regions(graph, paired, cfg, d_in)
     terms = planar_terms(fits)

@@ -23,12 +23,15 @@ The split and the adjacency both work on horizontal runs of equal
 labels. A few full-frame passes find the runs, and all later work is
 per run, so the cost is O(H·W) whatever the number of label values. The
 split joins the runs with a union-find in rounds (hooking, then pointer
-jumping), in NumPy alone. Graphs are immutable once built.
+jumping), in NumPy alone. A split grid has the runs of the grid it was
+split from, so `rescale` builds the split and the graph from one run
+pass (`split_regions`). Graphs are immutable once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -64,25 +67,25 @@ def _cross_row_neighbors(
     the flat index of the paired pixel.
     """
     height, width = shape
-    row, col = np.divmod(starts, width)
-    below, above = row < height - 1, row > 0
+    below, above = starts < (height - 1) * width, starts >= width  # not in the last, first row
     if connectivity == 4:
-        inside = np.stack([below, above], axis=1)
+        inside = np.array([below, above])
         offsets = np.array([width, -width])
     elif connectivity == 8:
+        col = starts % width
         left, right = col > 0, col < width - 1
-        inside = np.stack([below & left, below, below & right, above & left], axis=1)
+        inside = np.array([below & left, below, below & right, above & left])
         offsets = np.array([width - 1, width, width + 1, -width - 1])
     else:
         raise InputError(f"connectivity must be 4 or 8, got {connectivity}")
-    run, which = np.nonzero(inside)
+    run, which = inside.T.nonzero()
     return run, starts[run] + offsets[which]
 
 
 def _bounds(keys: np.ndarray, n_groups: int) -> np.ndarray:
     """Start of each key 0 .. n_groups - 1 in the keys once sorted, then their count."""
     bounds = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n_groups), out=bounds[1:])
+    np.bincount(keys, minlength=n_groups).cumsum(out=bounds[1:])
     return bounds
 
 
@@ -105,9 +108,11 @@ class RegionGraph:
     def n_regions(self) -> int:
         return self.indptr.size - 1
 
-    @property
+    @cached_property
     def sample_counts(self) -> np.ndarray:
-        return np.diff(self.sample_bounds)
+        counts = self.sample_bounds[1:] - self.sample_bounds[:-1]
+        counts.flags.writeable = False
+        return counts
 
     def neighbors(self, region_id: int) -> tuple[int, ...]:
         return tuple(self.indices[self.indptr[region_id] : self.indptr[region_id + 1]].tolist())
@@ -115,11 +120,6 @@ class RegionGraph:
     def group(self, region_id: int) -> np.ndarray:
         """Indices of the samples inside the region, ascending."""
         return self.sample_order[self.sample_bounds[region_id] : self.sample_bounds[region_id + 1]]
-
-
-def _owners(bounds: np.ndarray) -> np.ndarray:
-    """The group of each position, for groups at positions bounds[i]:bounds[i + 1]."""
-    return np.repeat(np.arange(bounds.size - 1, dtype=np.int32), np.diff(bounds))
 
 
 class SourceRings:
@@ -139,26 +139,30 @@ class SourceRings:
     source is at hop h - 1, h or h + 1 from it: the pairs at hop h + 1
     are the neighbours of the pairs at hop h, less the pairs at hops
     h - 1 and h, and no visited table is needed. Only those two levels
-    are kept, as sorted int64 codes source index * n_regions + region.
+    are kept, as sorted int64 codes (source index << bits) + region, with
+    2**bits > every region id.
     """
 
     def __init__(self, graph: RegionGraph, max_hops: int | None = None):
         self.graph = graph
         self.max_hops = max_hops
         self.counts = graph.sample_counts
-        self.sources = np.flatnonzero(self.counts).astype(np.int32)
+        self.sources = self.counts.nonzero()[0].astype(np.int32)
         self.reached = self.counts.copy()
         self.radius = 0
+        n = self._n = graph.n_regions
+        self._bits = n.bit_length()
+        self._degree = graph.indptr[1:] - graph.indptr[:-1]
         # the store: region r's pairs are at positions bounds[r]:bounds[r + 1]
-        self.bounds = _bounds(self.sources, graph.n_regions)
+        self.bounds = _bounds(self.sources, n)
         self.hop = np.zeros(self.sources.size, dtype=np.int32)
         self.source = self.sources
         # the regions and sources of each level grown since the last `ordered`
         self._regions: list[np.ndarray] = []
         self._sources: list[np.ndarray] = []
         # the codes of the levels at hops radius - 1 and radius
-        n = graph.n_regions
-        self._last = (np.zeros(0, dtype=np.int64), np.arange(self.sources.size) * n + self.sources)
+        local = np.arange(self.sources.size, dtype=np.int64)
+        self._last = (np.zeros(0, dtype=np.int64), (local << self._bits) + self.sources)
 
     def ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bounds, hop, source): every hop pair within `radius`, region-major.
@@ -169,33 +173,34 @@ class SourceRings:
         """
         if self._regions:
             sizes = [region.size for region in self._regions]
-            region = np.concatenate([_owners(self.bounds), *self._regions])
+            owners = np.arange(self._n, dtype=np.int32).repeat(self.bounds[1:] - self.bounds[:-1])
+            region = np.concatenate([owners, *self._regions])
             self._regions = []
-            order = np.argsort(region, kind="stable")
-            self.bounds = _bounds(region, self.graph.n_regions)
+            order = region.argsort(kind="stable")
+            self.bounds = _bounds(region, self._n)
             del region
             # The stored pairs come first and each level is in (hop,
             # source) order, so the stable sort by region keeps that order.
             self.source = np.concatenate([self.source, *self._sources])[order]
             self._sources = []
             hops = np.arange(self.radius - len(sizes) + 1, self.radius + 1, dtype=np.int32)
-            self.hop = np.concatenate([self.hop, np.repeat(hops, sizes)])[order]
+            self.hop = np.concatenate([self.hop, hops.repeat(sizes)])[order]
         return self.bounds, self.hop, self.source
 
     def grow(self) -> bool:
         """Add the next level; False at `max_hops` or once no source reaches further."""
-        graph, n = self.graph, self.graph.n_regions
         if not self.sources.size or self.radius == self.max_hops:
             return False
+        bits, indptr = self._bits, self.graph.indptr
         previous, current = self._last
-        local, region = np.divmod(current, n)
-        lo = graph.indptr[region]
-        degree = graph.indptr[region + 1] - lo
-        at = np.repeat(lo - (np.cumsum(degree) - degree), degree)
+        local, region = current >> bits, current & ((1 << bits) - 1)
+        degree = self._degree[region]
+        # each pair's neighbours, at positions lo:lo + degree of the indices
+        at = (indptr[region] - (degree.cumsum() - degree)).repeat(degree)
         at += np.arange(at.size)
-        step = np.repeat(local, degree)
-        step *= n
-        step += graph.indices[at]
+        step = local.repeat(degree)
+        step <<= bits
+        step += self.graph.indices[at]
         del at
         # One sort finds the new pairs: with the known codes doubled and the
         # neighbours' codes doubled plus one, a neighbour is new unless a
@@ -205,21 +210,19 @@ class SourceRings:
         code <<= 1
         code[previous.size + current.size :] += 1
         code.sort()
-        fresh = (code & 1).astype(bool)
+        fresh = (code & 1) != 0
         fresh[1:] &= code[1:] - code[:-1] > 1
         step = code[fresh] >> 1
         del code, fresh
         if not step.size:
             return False
         self._last = (current, step)
-        local, region = np.divmod(step, n)
-        region, source = region.astype(np.int32), self.sources[local]
+        region = (step & ((1 << bits) - 1)).astype(np.int32)
+        source = self.sources[step >> bits]
         self._regions.append(region)
         self._sources.append(source)
         self.radius += 1
-        self.reached += np.bincount(region, weights=self.counts[source], minlength=n).astype(
-            np.int64
-        )
+        np.add.at(self.reached, region, self.counts[source])
         return True
 
     def settled(self, regions) -> np.ndarray:
@@ -228,7 +231,7 @@ class SourceRings:
             return np.ones(len(regions), dtype=bool)
         return self.reached[regions] == self.component_samples
 
-    @property
+    @cached_property
     def component_samples(self) -> int:
         """Samples any region can ever reach: every sample of the frame.
 
@@ -257,7 +260,7 @@ def _compress(parent: np.ndarray) -> np.ndarray:
     so every node then points at the root of its tree."""
     while True:
         grand = parent[parent]
-        if np.array_equal(grand, parent):
+        if not np.count_nonzero(grand != parent):
             return parent
         parent = grand
 
@@ -276,11 +279,22 @@ def _roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     while True:
         pa, pb = parent[a], parent[b]
         apart = pa != pb
-        if not apart.any():
+        if not np.count_nonzero(apart):
             return parent
         pa, pb = pa[apart], pb[apart]
         np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
         parent = _compress(parent)
+
+
+def _split(labels: np.ndarray, connectivity: int) -> tuple[tuple, np.ndarray]:
+    """The runs of a label grid, as its run starts and their cross-row pairs,
+    and the first run of each run's connected component (`_roots`)."""
+    flat = labels.ravel()
+    starts = run_starts(labels)
+    run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
+    same = flat[starts][run] == flat[pixel]
+    touched = starts.searchsorted(pixel[same], side="right") - 1
+    return (starts, run, pixel), _roots(starts.size, run[same], touched)
 
 
 def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
@@ -295,13 +309,42 @@ def split_into_components(mask: LabelGrid, connectivity: int = 4) -> LabelGrid:
     first appearance, writing the runs in one pass. Labels are int32,
     like every label grid's, so there are fewer than 2**31 regions.
     """
-    labels = mask.labels
+    (starts, _, _), first_run = _split(mask.labels, connectivity)
+    return paint_runs(first_run, starts, mask.shape)
+
+
+def _graph(
+    labels: np.ndarray, runs: tuple, samples: SparseSamples | PairedObservations
+) -> RegionGraph:
+    """The region graph of a canonical label grid with the runs `_split` gives."""
+    starts, run, pixel = runs
     flat = labels.ravel()
-    starts = run_starts(labels)
-    run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
-    same = flat[starts][run] == flat[pixel]
-    touched = np.searchsorted(starts, pixel[same], side="right") - 1
-    return paint_runs(_roots(starts.size, run[same], touched), starts, labels.shape)
+    run_label = flat[starts]
+    n_regions = int(run_label.max()) + 1
+    # Sample assignment, preserving sample order inside a region.
+    region_of = labels[samples.rows, samples.cols]
+    sample_order = region_of.argsort(kind="stable")
+    # Adjacency from label changes: inside a row they sit at run starts,
+    # across rows the run starts' neighbours meet them all.
+    inner = (starts % labels.shape[1]).nonzero()[0]
+    p = np.concatenate([run_label[run], run_label[inner]], dtype=np.int64)
+    q = np.concatenate([flat[pixel], run_label[inner - 1]], dtype=np.int64)
+    change = p != q
+    p, q = p[change], q[change]
+    # One code (region << bits) + neighbour per directed edge, 2**bits > every
+    # region id; sorted, they run by region, then by neighbour.
+    bits = n_regions.bit_length()
+    codes = np.concatenate([(p << bits) + q, (q << bits) + p])
+    codes.sort()
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    codes = codes[first]
+    return RegionGraph(
+        indptr=_bounds(codes >> bits, n_regions),
+        indices=(codes & ((1 << bits) - 1)).astype(np.int32),
+        sample_bounds=_bounds(region_of, n_regions),
+        sample_order=sample_order,
+    )
 
 
 def build_region_graph(
@@ -317,37 +360,24 @@ def build_region_graph(
     """
     labels = mask.labels
     height, width = labels.shape
-    flat = labels.ravel()
     starts = run_starts(labels)
-    run_label = flat[starts]
-    if not is_label_range(run_label):
+    if not is_label_range(labels.ravel()[starts]):
         raise InputError("mask is not canonical; run canonicalize_labels or split_into_components")
-    n_regions = int(run_label.max()) + 1
-
-    # Sample assignment, preserving sample order inside a region.
     if len(samples) and (samples.rows.max() >= height or samples.cols.max() >= width):
         raise OutOfBounds(f"sample coordinates exceed mask shape ({height}, {width})")
-    region_of = labels[samples.rows, samples.cols]
-    sample_order = np.argsort(region_of, kind="stable").astype(np.int64, copy=False)
+    runs = (starts, *_cross_row_neighbors(starts, labels.shape, connectivity))
+    return _graph(labels, runs, samples)
 
-    # Adjacency from label changes: inside a row they sit at run starts,
-    # across rows the run starts' neighbours meet them all.
-    run, pixel = _cross_row_neighbors(starts, labels.shape, connectivity)
-    inner = np.flatnonzero(starts % width)
-    p = np.concatenate([run_label[run], run_label[inner]]).astype(np.int64)
-    q = np.concatenate([flat[pixel], run_label[inner - 1]]).astype(np.int64)
-    change = p != q
-    p, q = p[change], q[change]
-    # One code per directed edge; sorted, they run by region, then by neighbour.
-    codes = np.sort(np.concatenate([p * n_regions + q, q * n_regions + p]))
-    codes = codes[np.diff(codes, prepend=-1) > 0]
-    region, neighbor = np.divmod(codes, n_regions)
-    return RegionGraph(
-        indptr=_bounds(region, n_regions),
-        indices=neighbor.astype(np.int32),
-        sample_bounds=_bounds(region_of, n_regions),
-        sample_order=sample_order,
-    )
+
+def split_regions(
+    mask: LabelGrid, samples: SparseSamples | PairedObservations, connectivity: int = 4
+) -> tuple[LabelGrid, RegionGraph]:
+    """`split_into_components(mask, connectivity)` and `build_region_graph` on
+    it, for samples inside the grid, from one pass over the runs: a run lies
+    in one component, so the split grid has the runs of `mask`."""
+    runs, first_run = _split(mask.labels, connectivity)
+    region_mask = paint_runs(first_run, runs[0], mask.shape)
+    return region_mask, _graph(region_mask.labels, runs, samples)
 
 
 def expand_until(

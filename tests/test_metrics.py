@@ -106,6 +106,25 @@ def test_non_positive_predictions_miss_every_threshold():
             assert (report.delta1, report.delta2, report.delta3) == (0.75, 0.75, 0.75)
 
 
+def test_overflowing_terms_make_infinite_metrics_without_warning():
+    # a finite but huge prediction: its squared error, its relative error
+    # and its ratio to the ground truth overflow, and so can a mean's sum
+    cases = [
+        ([[1e300, 2.0]], [[1.0, 2.0]], {"rmse": math.inf, "abs_rel": 5e299}),
+        ([[1e306, 2.0]], [[0.001, 2.0]], {"rmse": math.inf, "abs_rel": math.inf}),
+        ([[1.5e308, 1.5e308]], [[1.0, 1.0]], {"rmse": math.inf, "abs_rel": math.inf}),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pred, gt, want in cases:
+            report = evaluate(grid(pred), grid(gt), (0.001, 10.0))
+            assert {name: getattr(report, name) for name in want} == want
+            # the huge pixels miss every threshold; the others hit
+            hits = sum(p == g for p, g in zip(pred[0], gt[0])) / 2
+            assert (report.delta1, report.delta2, report.delta3) == (hits,) * 3
+            assert math.isfinite(report.rmse_log) and math.isfinite(report.log10)
+
+
 @pytest.mark.parametrize(
     "depth_range",
     [(0.0, 10.0), (-1.0, 10.0), (5.0, 1.0), (1.0, math.inf), (math.nan, 1.0), (True, 2.0),

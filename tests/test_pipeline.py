@@ -38,7 +38,13 @@ from depthscale.fitting import (
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
 from depthscale.normalize import affine_invariant_normalize
-from depthscale.pipeline import PipelineConfig, RegionReport, fit_regions, rescale
+from depthscale.pipeline import (
+    PipelineConfig,
+    RegionReport,
+    _first_and_inverse,
+    fit_regions,
+    rescale,
+)
 from depthscale.regions import SourceRings, build_region_graph, split_into_components
 from depthscale.synth import generate_scene, random_scene, sample_uniform
 from test_grids import label_grids, reference_canonicalize
@@ -835,3 +841,27 @@ def test_region_report_json_keys(tmp_path):
         "region_id", "residual_rmse", "samples_used", "support",
     ]]
     assert doc[0]["residual_rmse"] is None and doc[0]["hop"] == 1 and doc[0]["samples_used"] == 3
+
+
+UNIQUE_CASES = {
+    "empty": np.zeros(0, dtype=np.int64),
+    "one": np.array([7], dtype=np.int64),
+    "all-equal": np.full(9, -3, dtype=np.int64),
+    # few distinct values, so most repeat, and values over the whole int64 range
+    **{f"random-few-{seed}": np.random.default_rng(seed).integers(-4, 4, 60) for seed in range(3)},
+    **{
+        f"random-wide-{seed}": np.random.default_rng(seed).integers(-(2**63), 2**63 - 1, 60)
+        for seed in range(3)
+    },
+    "extremes": np.array([2**63 - 1, -(2**63), 0, -(2**63), 2**63 - 1], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIQUE_CASES))
+def test_first_and_inverse_is_np_unique(name):
+    values = UNIQUE_CASES[name]
+    distinct, want_first, want_inverse = np.unique(values, return_index=True, return_inverse=True)
+    first, inverse = _first_and_inverse(values)
+    assert first.size == distinct.size
+    assert first.dtype == want_first.dtype and first.tobytes() == want_first.tobytes()
+    assert inverse.dtype == want_inverse.dtype and inverse.tobytes() == want_inverse.tobytes()

@@ -19,6 +19,7 @@ from depthscale.regions import (
     build_region_graph,
     expand_until,
     split_into_components,
+    split_regions,
 )
 from test_grids import label_grids, reference_canonicalize
 
@@ -292,6 +293,36 @@ def test_split_matches_reference_on_winding_masks(name, connectivity):
             out = split_into_components(LabelGrid(labels), connectivity).labels
         assert out.tobytes() == reference_split(labels, connectivity).tobytes()
         assert rounds.call_count >= min_rounds
+
+
+def assert_split_regions_is_split_then_graph(labels, connectivity, seed):
+    # the shared run pass gives the bytes of the split, then the graph on it
+    h, w = labels.shape
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(h * w, size=int(rng.integers(0, min(12, h * w) + 1)), replace=False)
+    samples = SparseSamples(picked // w, picked % w, np.ones(picked.size))
+    mask = LabelGrid(labels)
+    got_mask, got = split_regions(mask, samples, connectivity)
+    want_mask = split_into_components(mask, connectivity)
+    want = build_region_graph(want_mask, samples, connectivity)
+    assert got_mask.labels.dtype == want_mask.labels.dtype
+    assert got_mask.labels.tobytes() == want_mask.labels.tobytes()
+    for name in ("indptr", "indices", "sample_bounds", "sample_order"):
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_grids(max_side=30, min_values=2), st.sampled_from([4, 8]), st.integers(0, 2**32 - 1))
+def test_split_regions_matches_split_then_graph(labels, connectivity, seed):
+    assert_split_regions_is_split_then_graph(labels, connectivity, seed)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("name", list(WINDING_MASKS))
+def test_split_regions_matches_split_then_graph_on_winding_masks(name, connectivity):
+    for seed, labels in enumerate(orientations(WINDING_MASKS[name][0])):
+        assert_split_regions_is_split_then_graph(labels, connectivity, seed)
 
 
 def test_split_one_value_per_pixel():

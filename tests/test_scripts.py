@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,3 +121,21 @@ def test_output_hashes_smoke(tmp_path):
                       "--against", str(ROOT / "src"), cwd=tmp_path)
     assert (same.returncode, same.stdout) == (0, ""), same.stderr
     assert same.stderr == f"0 of {len(rows)} cases differ from {ROOT / 'src'}\n"
+
+
+def test_call_counts_smoke(tmp_path):
+    # the counts depend on the NumPy version, so only the layout is checked
+    done = run_script("call_counts.py", "--smoke", "--top", "3", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("# seed 0, numpy ")
+    heads = [line for line in lines[1:] if not line.startswith(" ")]
+    assert [head.split(":")[0] for head in heads] == ["fragmented", "lidar-files"]
+    for head in heads:
+        frames, total, calls, c_calls = (
+            float(x) for x in re.findall(r"(\d+(?:\.\d+)?) (?:frame|calls per|call,|c_call)", head)
+        )
+        assert frames >= 1 and total == calls + c_calls > 0
+    listed = [line.split() for line in lines[1:] if line.startswith(" ")]
+    assert len(listed) == 6
+    assert all(float(n) > 0 and ("." in name or name == "(outside)") for n, name in listed)
