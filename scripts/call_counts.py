@@ -14,8 +14,9 @@ Each call is charged to the innermost depthscale function running when
 it is made: a depthscale function's own call is charged to its caller.
 Calls made outside any depthscale function go to `(outside)`.
 
-For each workload it prints the calls per frame in total and of each
-kind, then the functions charged the most calls per frame.
+For each workload it prints the exact calls over its frames in total and
+of each kind, with the same per frame beside them, then the functions
+charged the most calls per frame.
 
 Example:
     python scripts/call_counts.py
@@ -80,9 +81,10 @@ def count_calls(workload, scenes) -> tuple[Counter, Counter]:
 
 
 def report(name: str, frames: int, kinds: Counter, owners: Counter, top: int) -> None:
-    total = kinds["call"] + kinds["c_call"]
-    print(f"{name}: {frames} frame(s), {total / frames:.1f} calls per frame "
-          f"({kinds['call'] / frames:.1f} call, {kinds['c_call'] / frames:.1f} c_call)")
+    calls, c_calls = kinds["call"], kinds["c_call"]
+    total = calls + c_calls
+    print(f"{name}: {frames} frame(s), {total} calls ({calls} call, {c_calls} c_call); "
+          f"per frame {total / frames:.1f} ({calls / frames:.1f} call, {c_calls / frames:.1f} c_call)")
     for owner, n in owners.most_common(top):
         print(f"  {n / frames:>9.1f}  {owner}")
 

@@ -5,7 +5,9 @@ It prints one line per case, `<case> <sha256>`:
 
 - fragmented seeds 0-3, every scene as `perfbench/workloads.py` builds
   it, run plain, with `merge_same_label` and with 8-connectivity (the
-  output values, validity and region report file of each scene);
+  output values, validity and region report file of each scene), and
+  seed 0 also with `global-linear` and with `ssf` under mean-std
+  normalization;
 - the lidar-files seed-0 frame through `cli.main` (the depth file, the
   region report file and the printed metrics);
 - the four `scripts/full_frames.py` frames.
@@ -51,13 +53,18 @@ from full_frames import BLOCKS, SAMPLES, SEED, frame, output_hash, write_reports
 
 FRAGMENTED_SEEDS = (0, 1, 2, 3)
 VARIANTS = {"plain": {}, "merge": {"merge_same_label": True}, "conn8": {"connectivity": 8}}
+# Seed 0 alone also runs the normalizing paths the scenes' own methods miss.
+SEED0_VARIANTS = {
+    "global-linear": {"method": "global-linear"},
+    "ssf-mean-std": {"method": "ssf", "normalization": "mean-std"},
+}
 
 
 def fragmented_lines(smoke: bool, workdir: Path):
     workload = workloads.Fragmented(smoke)
     for seed in FRAGMENTED_SEEDS:
         scenes = [workload.build(seed, k, workdir) for k in range(workload.n_scenes)]
-        for name, fields in VARIANTS.items():
+        for name, fields in (VARIANTS | SEED0_VARIANTS if seed == 0 else VARIANTS).items():
             digest = hashlib.sha256()
             for scene in scenes:
                 cfg = replace(PipelineConfig(method=scene["method"], clamp=workloads.CLAMP), **fields)

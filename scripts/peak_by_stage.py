@@ -45,7 +45,7 @@ STAGES = {
     "io.load_mask": ("depthscale.io", "load_mask"),
     "io.load_samples": ("depthscale.io", "load_samples"),
     "invert_depth": ("depthscale.cli", "invert_depth"),
-    "affine_invariant_normalize": ("depthscale.pipeline", "affine_invariant_normalize"),
+    "normalization_stats": ("depthscale.pipeline", "normalization_stats"),
     "pair_observations": ("depthscale.pipeline", "pair_observations"),
     "split_regions": ("depthscale.pipeline", "split_regions"),
     "fit_regions": ("depthscale.pipeline", "fit_regions"),

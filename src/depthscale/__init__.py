@@ -22,7 +22,8 @@ from .fitting import (
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
 from .metrics import MetricReport, evaluate
-from .normalize import NormalizationStats, affine_invariant_normalize, invert_depth, lower_median
+from .normalize import NormalizationStats, affine_invariant_normalize, invert_depth
+from .normalize import lower_median, normalization_stats
 from .pipeline import NYU_CLAMP, VOID_CLAMP, PipelineConfig, RegionReport, RegionReports, rescale
 from .regions import (
     Expansion,
@@ -77,6 +78,7 @@ __all__ = [
     "generate_scene",
     "invert_depth",
     "lower_median",
+    "normalization_stats",
     "pair_observations",
     "planar_terms",
     "random_scene",

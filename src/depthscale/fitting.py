@@ -44,6 +44,7 @@ from .errors import (
     ZeroMedian,
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples
+from .normalize import NormalizationStats
 
 KIND_AFFINE = "affine"
 KIND_PLANAR = "planar"
@@ -136,8 +137,11 @@ def normalized_coords(
     return x, y
 
 
-def pair_observations(d_rel: DepthGrid, samples: SparseSamples) -> PairedObservations:
-    """Pair each sample with the relative depth at its pixel.
+def pair_observations(
+    d_rel: DepthGrid, samples: SparseSamples, stats: NormalizationStats | None = None
+) -> PairedObservations:
+    """Pair each sample with the relative depth at its pixel, normalized
+    as `(v - stats.t) / stats.s` when `stats` is given.
 
     Samples landing on invalid relative-depth pixels are dropped. Order
     of the surviving samples is preserved.
@@ -149,14 +153,11 @@ def pair_observations(d_rel: DepthGrid, samples: SparseSamples) -> PairedObserva
     rows = samples.rows[keep]
     cols = samples.cols[keep]
     x, y = normalized_coords(rows, cols, height, width)
-    return PairedObservations(
-        rows=rows,
-        cols=cols,
-        z1=samples.depths[keep],
-        z2=d_rel.values[rows, cols],
-        x=x,
-        y=y,
-    )
+    z2 = d_rel.values[rows, cols]
+    if stats is not None:
+        z2 -= stats.t
+        z2 /= stats.s
+    return PairedObservations(rows=rows, cols=cols, z1=samples.depths[keep], z2=z2, x=x, y=y)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,6 +323,7 @@ def apply_fit(
     mask: LabelGrid,
     terms: np.ndarray,
     clamp: tuple[float, float],
+    stats: NormalizationStats | None = None,
 ) -> DepthGrid:
     """Apply row `terms[label]` of a `planar_terms` table to every pixel in
     one label-indexed pass.
@@ -329,7 +331,8 @@ def apply_fit(
     Each pixel gets ((alpha*z2 + beta*x) + gamma*y) + delta from its
     label's row, clamped into [min_depth, max_depth]; affine and median
     fits have zero slopes, which is exact for their own formulas because
-    the clamp floor is positive. Valid where the input is.
+    the clamp floor is positive. With `stats`, z2 is the pixel's value
+    normalized as `(v - stats.t) / stats.s`. Valid where the input is.
     """
     lo, hi = float(clamp[0]), float(clamp[1])
     if not (0.0 < lo <= hi):
@@ -359,7 +362,12 @@ def apply_fit(
         o = out[rows]
         t = term[: len(o)]
         alpha.take(labels, out=o, mode="clip")
-        o *= d_rel.values[rows]
+        if stats is None:
+            o *= d_rel.values[rows]
+        else:
+            np.subtract(d_rel.values[rows], stats.t, out=t)
+            t /= stats.s
+            o *= t
         for coeff, coord in ((beta, x), (gamma, y[rows])):
             coeff.take(labels, out=t, mode="clip")
             t *= coord

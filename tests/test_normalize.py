@@ -1,11 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthscale.errors import DegenerateGrid
+from depthscale.errors import DegenerateGrid, InputError
 from depthscale.grids import DepthGrid
 from depthscale.normalize import (
     MEAN_STD,
@@ -13,6 +14,7 @@ from depthscale.normalize import (
     affine_invariant_normalize,
     invert_depth,
     lower_median,
+    normalization_stats,
 )
 
 # Values the caller may leave at invalid pixels; a grid reads all as +0.0.
@@ -120,6 +122,15 @@ def test_normalize_refuses_stats_that_overflow(mode):
         warnings.simplefilter("error")
         with pytest.raises(DegenerateGrid, match="overflows"):
             affine_invariant_normalize(grid(values), mode)
+
+
+def test_normalize_refuses_a_non_finite_normalized_value():
+    # The check on the largest |v - t| / s stands for the normalized map's
+    # finite check at every valid pixel. NumPy's own std keeps it out of
+    # reach (|v - mean| <= sqrt(n) * std), so a tiny one is patched in.
+    with mock.patch.object(np, "std", return_value=1e-310):
+        with pytest.raises(InputError, match="^non-finite depth value at a valid pixel$"):
+            normalization_stats(grid([0.0, 1.0, 2.0]), MEAN_STD)
 
 
 def test_normalize_ignores_invalid_pixels():

@@ -8,6 +8,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from depthscale import cli, io
+from depthscale import cli, fitting, io
 from depthscale.errors import (
     DegeneracyError,
     DepthScaleError,
@@ -37,7 +38,7 @@ from depthscale.fitting import (
 )
 from depthscale.grids import DepthGrid, LabelGrid, SparseSamples
 from depthscale.metrics import evaluate
-from depthscale.normalize import affine_invariant_normalize
+from depthscale.normalize import MEAN_STD, MEDIAN_MAD, affine_invariant_normalize, normalization_stats
 from depthscale.pipeline import (
     PipelineConfig,
     RegionReport,
@@ -353,7 +354,11 @@ def twenty_region_scene():
 def test_rescale_peak_memory_is_a_few_grids(twenty_region_scene, method):
     # the output is written in one label-indexed pass, not one full-frame
     # pass per region, and grids adopt the arrays the library has just
-    # made, so the peak stays a few grids whatever the region count
+    # made, so the peak stays a few grids whatever the region count.
+    # Beside its inputs rescale holds at most two full-frame float64
+    # arrays at once: normalization's two copies of the valid values (one
+    # partitioned for the median), or the output. A normalized map built
+    # for pairing and apply_fit put the peak at 3.25 grids on this frame.
     rel, mask, samples = twenty_region_scene
     tracemalloc.start()
     try:
@@ -361,7 +366,36 @@ def test_rescale_peak_memory_is_a_few_grids(twenty_region_scene, method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * rel.values.nbytes
+    assert peak < 2.5 * rel.values.nbytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([MEDIAN_MAD, MEAN_STD]),
+    st.sampled_from([(1, 9), (7, 5), (10, 3), (33, 17)]),
+)
+def test_normalize_on_read_matches_the_normalized_map(seed, mode, shape):
+    # Pairing and apply_fit normalize what they read with the same two IEEE
+    # operations as the whole normalized map; apply_fit's row blocks of 16
+    # pixels leave a short last block at these heights.
+    rng = np.random.default_rng(seed)
+    valid = rng.random(shape) < 0.8
+    valid.flat[:2] = True
+    d_in = DepthGrid(rng.uniform(-3.0, 50.0, shape), valid)
+    normalized, stats = affine_invariant_normalize(d_in, mode)
+    assert normalization_stats(d_in, mode) == stats
+    picked = rng.choice(d_in.values.size, size=min(6, d_in.values.size), replace=False)
+    samples = SparseSamples(picked // shape[1], picked % shape[1], rng.uniform(0.5, 9.0, picked.size))
+    want, got = pair_observations(normalized, samples), pair_observations(d_in, samples, stats)
+    assert got.rows.tobytes() == want.rows.tobytes() and got.z2.tobytes() == want.z2.tobytes()
+    labels = LabelGrid(rng.integers(0, 3, shape))
+    terms = rng.uniform(-4.0, 4.0, (3, 4))
+    with mock.patch.object(fitting, "_APPLY_BLOCK", 16):
+        want = apply_fit(normalized, labels, terms, WIDE_CLAMP)
+        got = apply_fit(d_in, labels, terms, WIDE_CLAMP, stats)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.valid, valid)
 
 
 @pytest.mark.parametrize("method", ["ssf", "slf"])

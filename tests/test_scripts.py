@@ -83,7 +83,14 @@ def test_peak_by_stage_smoke(tmp_path):
     stages = [row[0] for row in rows]
     # the rescale stages in call order, the three depth loads, then the frame
     assert stages[:4] == ["io.load_depth", "io.load_mask", "io.load_samples", "invert_depth"]
-    assert stages.count("io.load_depth") == 3 and "apply_fit" in stages and "evaluate" in stages
+    assert stages.count("io.load_depth") == 3
+    # every wrapped stage gives a row: a stage the frame stops calling fails here
+    listed = subprocess.run(
+        [sys.executable, "-c", "import json, peak_by_stage; print(json.dumps(list(peak_by_stage.STAGES)))"],
+        cwd=ROOT / "scripts", env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert set(json.loads(listed.stdout)) == set(stages[:-1])
     assert stages[-1] == "frame"
     frame_peak = float(rows[-1][-1])
     assert all(0 <= float(live) <= float(peak) <= frame_peak for _, live, peak in rows[:-1])
@@ -111,7 +118,7 @@ def test_output_hashes_smoke(tmp_path):
     assert [case for case, _ in rows] == [
         f"fragmented/seed{seed}/{variant}"
         for seed in range(4)
-        for variant in ("plain", "merge", "conn8")
+        for variant in ("plain", "merge", "conn8") + ("global-linear", "ssf-mean-std") * (seed == 0)
     ] + ["lidar-files/seed0"] + [
         f"full-frame/{b}x{b}/{n}" for b in (4, 2) for n in (300, 3000)
     ]
@@ -132,10 +139,13 @@ def test_call_counts_smoke(tmp_path):
     heads = [line for line in lines[1:] if not line.startswith(" ")]
     assert [head.split(":")[0] for head in heads] == ["fragmented", "lidar-files"]
     for head in heads:
-        frames, total, calls, c_calls = (
-            float(x) for x in re.findall(r"(\d+(?:\.\d+)?) (?:frame|calls per|call,|c_call)", head)
-        )
+        counts = re.search(r"(\d+) frame\(s\), (\d+) calls \((\d+) call, (\d+) c_call\)", head)
+        frames, total, calls, c_calls = (int(x) for x in counts.groups())
         assert frames >= 1 and total == calls + c_calls > 0
+        per_frame = re.search(r"per frame (\d+\.\d) \((\d+\.\d) call, (\d+\.\d) c_call\)", head)
+        assert [float(x) for x in per_frame.groups()] == [
+            round(n / frames, 1) for n in (total, calls, c_calls)
+        ]
     listed = [line.split() for line in lines[1:] if line.startswith(" ")]
     assert len(listed) == 6
     assert all(float(n) > 0 and ("." in name or name == "(outside)") for n, name in listed)
